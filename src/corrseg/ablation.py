@@ -37,7 +37,6 @@ from .train import (
     make_optimizer,
     spike_threshold,
     train_epoch,
-    twin_detection_rate,
 )
 
 VARIANTS = ("baseline", "scm", "icm", "scm_icm", "coords", "sinusoid")
@@ -194,8 +193,7 @@ def run_ablation(
                 if progress is not None:
                     progress(variant, epoch, mean_loss)
             elapsed = time.perf_counter() - start
-            result = evaluate_scenes(model, held_out)
-            twin_rate = twin_detection_rate(model, held_out)
+            result, twin_rate = evaluate_scenes(model, held_out)
             rows.append({
                 "variant": variant,
                 "pq": result.pq,

@@ -358,12 +358,19 @@ def relu(a: TensorLike) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), grad_fn, a.requires_grad)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function on a plain array.
+
+    Split by sign so exp never overflows: with e = exp(-|x|), sigmoid is
+    1 / (1 + e) for x >= 0 and e / (1 + e) otherwise.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: TensorLike) -> Tensor:
     a = as_tensor(a)
-    # Split by sign to avoid overflow in exp.
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = stable_sigmoid(a.data)
 
     def grad_fn(g):
         a._accum(g * out_data * (1.0 - out_data))

@@ -33,7 +33,6 @@ from .ablation import (
 )
 from .autodiff import no_grad
 from .checkpoint import (
-    check_config,
     load_checkpoint,
     load_model_state,
     model_state,
@@ -55,13 +54,14 @@ from .synth import (
 )
 from .train import (
     evaluate_scenes,
+    is_twin_scene,
     make_optimizer,
     scene_image,
     scene_to_panoptic,
     spike_threshold,
     train_epoch,
+    twin_rate,
     twins_covered,
-    twins_detected,
 )
 
 _RUN_KEYS = (
@@ -367,13 +367,6 @@ def _oracle_prediction(scene: SyntheticScene) -> InstancePrediction:
     )
 
 
-def _twin_scenes(scenes: Sequence[SyntheticScene]) -> List[SyntheticScene]:
-    return [
-        scene for scene in scenes
-        if scene.meta.get("twin_mode") == "1" and len(scene.instances) >= 2
-    ]
-
-
 def cmd_eval(merged: Dict[str, object]) -> int:
     _require(merged, "data", "out")
     if merged["oracle"] and merged["checkpoint"] is not None:
@@ -387,27 +380,22 @@ def cmd_eval(merged: Dict[str, object]) -> int:
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    twin_subset = _twin_scenes(scenes)
     if merged["oracle"]:
         acc = PqAccumulator(k_thing=cfg.k_thing)
         for scene in scenes:
             truth = scene_to_panoptic(scene)
             acc.add(truth, truth)
         result = acc.result()
-        covered = [
+        rate = twin_rate([
             twins_covered(_oracle_prediction(scene), scene, cfg.post_nms_score)
-            for scene in twin_subset
-        ]
-        twin_rate = sum(covered) / len(covered) if covered else float("nan")
+            for scene in scenes if is_twin_scene(scene)
+        ])
         variant = "oracle"
     else:
         arrays = load_checkpoint(merged["checkpoint"])
-        check_config(arrays, cfg, str(merged["checkpoint"]))
         model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
         load_model_state(model, arrays, str(merged["checkpoint"]))
-        result = evaluate_scenes(model, scenes)
-        covered = [twins_detected(model, scene) for scene in twin_subset]
-        twin_rate = sum(covered) / len(covered) if covered else float("nan")
+        result, rate = evaluate_scenes(model, scenes)
         variant = "model"
 
     row = {
@@ -417,14 +405,14 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         "rq": result.rq,
         "pq_th": result.pq_things,
         "pq_st": result.pq_stuff,
-        "twin_rate": twin_rate,
+        "twin_rate": rate,
         "train_seconds": 0.0,
     }
     write_report(out / "report.csv", [row])
     print(
         f"{variant}: pq={result.pq:.4f} sq={result.sq:.4f} rq={result.rq:.4f} "
         f"pq_th={result.pq_things:.4f} pq_st={result.pq_stuff:.4f} "
-        f"twin_rate={twin_rate:.4f}"
+        f"twin_rate={rate:.4f}"
     )
     return 0
 
@@ -470,7 +458,6 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     write_resolved(merged, out)
 
     arrays = load_checkpoint(merged["checkpoint"])
-    check_config(arrays, cfg, str(merged["checkpoint"]))
     model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
     load_model_state(model, arrays, str(merged["checkpoint"]))
     scene = load_scene(scene_dir(data, int(merged["seed"])))

@@ -57,14 +57,21 @@ class PQResult:
     per_class: Dict[int, ClassPq]
 
 
-def _segment_areas(pan: PanopticSegmentation) -> Dict[Tuple[int, int], int]:
-    pairs = np.stack([pan.category.reshape(-1), pan.instance.reshape(-1)], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    return {
-        (int(c), int(i)): int(n)
-        for (c, i), n in zip(uniq, counts)
-        if c != _VOID
-    }
+def _segments(pan: PanopticSegmentation
+              ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Dense segment id per pixel, plus each segment's category and area.
+
+    Each pixel's (category + 1, instance) pair is packed into one int64
+    key, so finding the segments is a sort of 1-D keys, not of rows.
+    Segments come in ascending (category, instance) order.
+    """
+    category = pan.category.reshape(-1).astype(np.int64)
+    instance = pan.instance.reshape(-1).astype(np.int64)
+    lo = int(instance.min(initial=0))
+    span = int(instance.max(initial=0)) - lo + 1
+    keys = (category + 1) * span + (instance - lo)
+    uniq, ids, area = np.unique(keys, return_inverse=True, return_counts=True)
+    return ids.reshape(-1), uniq // span - 1, area.tolist()
 
 
 class PqAccumulator:
@@ -83,50 +90,40 @@ class PqAccumulator:
                 f"prediction {pred.category.shape} does not match "
                 f"ground truth {gt.category.shape}"
             )
-        gt_areas = _segment_areas(gt)
-        pred_areas = _segment_areas(pred)
+        gt_ids, gt_cat, gt_area = _segments(gt)
+        pred_ids, pred_cat, pred_area = _segments(pred)
 
-        quad = np.stack(
-            [
-                gt.category.reshape(-1),
-                gt.instance.reshape(-1),
-                pred.category.reshape(-1),
-                pred.instance.reshape(-1),
-            ],
-            axis=1,
-        )
-        uniq, counts = np.unique(quad, axis=0, return_counts=True)
+        # Intersection area of every overlapping (gt, pred) segment pair.
+        n_pred = len(pred_area)
+        pairs, inters = np.unique(gt_ids * n_pred + pred_ids, return_counts=True)
+        pair_gt, pair_pred = np.divmod(pairs, n_pred)
+        same = (gt_cat[pair_gt] == pred_cat[pair_pred]) & (gt_cat[pair_gt] != _VOID)
 
         # IoU per same-category (gt segment, pred segment) pair, then sort
         # descending so floating-point sums are order-independent.
         per_class_ious: Dict[int, List[float]] = {}
         matched_gt = set()
         matched_pred = set()
-        for (gc, gi, pc, pi), inter in zip(uniq, counts):
-            gt_key = (int(gc), int(gi))
-            pred_key = (int(pc), int(pi))
-            if gt_key[0] == _VOID or pred_key[0] == _VOID:
-                continue
-            if gt_key[0] != pred_key[0]:
-                continue
-            union = gt_areas[gt_key] + pred_areas[pred_key] - int(inter)
-            iou = int(inter) / union
+        for g, p, inter in zip(pair_gt[same].tolist(), pair_pred[same].tolist(),
+                               inters[same].tolist()):
+            union = gt_area[g] + pred_area[p] - inter
+            iou = inter / union
             if iou > 0.5:
-                assert gt_key not in matched_gt and pred_key not in matched_pred
-                matched_gt.add(gt_key)
-                matched_pred.add(pred_key)
-                per_class_ious.setdefault(gt_key[0], []).append(iou)
+                assert g not in matched_gt and p not in matched_pred
+                matched_gt.add(g)
+                matched_pred.add(p)
+                per_class_ious.setdefault(int(gt_cat[g]), []).append(iou)
 
         for category, ious in per_class_ious.items():
             cls = self._cls(category)
             cls.tp += len(ious)
             cls.iou_sum += sum(sorted(ious, reverse=True))
-        for key in gt_areas:
-            if key not in matched_gt:
-                self._cls(key[0]).fn += 1
-        for key in pred_areas:
-            if key not in matched_pred:
-                self._cls(key[0]).fp += 1
+        for seg, category in enumerate(gt_cat.tolist()):
+            if category != _VOID and seg not in matched_gt:
+                self._cls(category).fn += 1
+        for seg, category in enumerate(pred_cat.tolist()):
+            if category != _VOID and seg not in matched_pred:
+                self._cls(category).fp += 1
 
     def result(self) -> PQResult:
         counted = {

@@ -250,8 +250,8 @@ def decode_instances(
     instead of snapping it to 4-pixel blocks; candidates are ordered by
     descending score, then grid cell, then class.
     """
-    cate = _sigmoid_np(cate_logits)  # (G, G, K_thing)
-    masks_lo = _sigmoid_np(mask_logits)  # (G*G, Hf, Wf)
+    cate = ad.stable_sigmoid(cate_logits)  # (G, G, K_thing)
+    masks_lo = ad.stable_sigmoid(mask_logits)  # (G*G, Hf, Wf)
     g = cfg.grid_size
     candidates = []
     for cell in range(g * g):
@@ -260,17 +260,12 @@ def decode_instances(
             if score > cfg.pre_nms_score:
                 candidates.append((-score, cell, cls))
     candidates.sort()
-    masks, categories, scores = [], [], []
-    for neg_score, cell, cls in candidates:
-        masks.append(upsample_bilinear(masks_lo[cell], STRIDE))
-        categories.append(cls)
-        scores.append(-neg_score)
-    return InstancePrediction(masks=masks, categories=categories, scores=scores)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    cells = [cell for _, cell, _ in candidates]
+    return InstancePrediction(
+        masks=list(upsample_bilinear(masks_lo[cells], STRIDE)),
+        categories=[cls for _, _, cls in candidates],
+        scores=[-neg_score for neg_score, _, _ in candidates],
+    )
 
 
 def upsample_nearest(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -278,8 +273,12 @@ def upsample_nearest(arr: np.ndarray, factor: int) -> np.ndarray:
 
 
 def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Half-pixel-aligned bilinear upscale with edge clamping."""
-    h, w = arr.shape
+    """Half-pixel-aligned bilinear upscale with edge clamping.
+
+    Scales the last two axes, so an (n, h, w) stack is upsampled in one
+    call, slice by slice.
+    """
+    h, w = arr.shape[-2:]
     ys = (np.arange(h * factor) + 0.5) / factor - 0.5
     xs = (np.arange(w * factor) + 0.5) / factor - 0.5
     y0f = np.floor(ys)
@@ -290,6 +289,8 @@ def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    top = arr[y0][:, x0] * (1.0 - wx) + arr[y0][:, x1] * wx
-    bottom = arr[y1][:, x0] * (1.0 - wx) + arr[y1][:, x1] * wx
-    return top * (1.0 - wy) + bottom * wy
+    # Interpolate along x on the h input rows first; picking rows y0 and
+    # y1 afterwards gives the same per-pixel arithmetic on 1/factor of
+    # the rows.
+    cols = arr[..., x0] * (1.0 - wx) + arr[..., x1] * wx
+    return cols[..., y0, :] * (1.0 - wy) + cols[..., y1, :] * wy

@@ -3,14 +3,16 @@
 Plain SGD (momentum 0.9, weight decay 1e-4) over scenes in a fixed order,
 one scene per step.  A non-finite loss aborts with NumericsError so the
 caller keeps the last finished epoch's checkpoint.  Evaluation runs one
-forward pass per scene and feeds both heads through NMS, fusion, and the
-PQ accumulator.
+inference pass per scene (forward, decode, NMS, fusion) and uses it
+twice: the fused labeling feeds the PQ accumulator, and the post-NMS
+instances of each twin scene decide whether both twins were found, which
+gives the twin rate alongside PQ.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,12 +155,31 @@ def infer_panoptic(
 
 def evaluate_scenes(
     model: PanopticModel, scenes: Iterable[SyntheticScene]
-) -> PQResult:
+) -> Tuple[PQResult, float]:
+    """PQ over all scenes and the twin rate over the twin scenes.
+
+    Each scene goes through ``infer_panoptic`` once: the fused labeling
+    feeds the PQ accumulator, the post-NMS instances ``twins_covered``.
+    Twin scenes are those generated in twin mode with at least two
+    instances; the twin rate is NaN when there are none.
+    """
     acc = PqAccumulator(k_thing=model.cfg.k_thing)
+    covered: List[bool] = []
     for scene in scenes:
-        fused, _ = infer_panoptic(model, scene)
+        fused, pred = infer_panoptic(model, scene)
         acc.add(fused, scene_to_panoptic(scene))
-    return acc.result()
+        if is_twin_scene(scene):
+            covered.append(twins_covered(pred, scene, model.cfg.post_nms_score))
+    return acc.result(), twin_rate(covered)
+
+
+def is_twin_scene(scene: SyntheticScene) -> bool:
+    return scene.meta.get("twin_mode") == "1" and len(scene.instances) >= 2
+
+
+def twin_rate(covered: Sequence[bool]) -> float:
+    """Fraction of twin scenes whose twins were both found; NaN for none."""
+    return sum(covered) / len(covered) if covered else float("nan")
 
 
 def twins_covered(
@@ -187,17 +208,3 @@ def twins_covered(
         if not found:
             return False
     return True
-
-
-def twins_detected(model: PanopticModel, scene: SyntheticScene) -> bool:
-    _, pred = infer_panoptic(model, scene)
-    return twins_covered(pred, scene, model.cfg.post_nms_score)
-
-
-def twin_detection_rate(
-    model: PanopticModel, scenes: Iterable[SyntheticScene]
-) -> float:
-    flags = [twins_detected(model, s) for s in scenes]
-    if not flags:
-        return 0.0
-    return sum(flags) / len(flags)

@@ -143,6 +143,26 @@ class TestRunAblation:
             assert row["train_seconds"] > 0
         assert len(out.read_text().splitlines()) == 1 + len(VARIANTS)
 
+    def test_one_inference_per_held_out_scene_per_variant(self, monkeypatch):
+        import corrseg.train as train_mod
+
+        infer = train_mod.infer_panoptic
+        calls = []
+
+        def counting(model, scene):
+            calls.append((model, scene))
+            return infer(model, scene)
+
+        monkeypatch.setattr(train_mod, "infer_panoptic", counting)
+        scenes = make_twin_dataset(5, seed=60)
+        variants = ("baseline", "icm")
+        rows = run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001,
+                            train_fraction=0.6, variants=variants)
+        held_out = [id(scene) for scene in scenes[3:]]
+        assert [id(scene) for _, scene in calls] == held_out * len(variants)
+        assert len({id(model) for model, _ in calls}) == len(variants)
+        assert all(0.0 <= row["twin_rate"] <= 1.0 for row in rows)
+
     def test_degenerate_split_rejected(self):
         scenes = make_twin_dataset(2, seed=70)
         with pytest.raises(ValueError, match="split"):

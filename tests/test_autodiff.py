@@ -50,6 +50,23 @@ class TestElementwise:
         np.testing.assert_allclose(x.grad, [0.5, 0.5])
 
 
+class TestStableSigmoid:
+    def test_bit_identical_to_three_exp_formula(self):
+        # The expression autodiff.sigmoid and model decoding used before
+        # they shared stable_sigmoid, which evaluates exp(-|x|) once.
+        def reference(x):
+            return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+        steps = np.linspace(-3.0, 3.0, 601)
+        x = np.concatenate([steps * 1e-3, steps, steps + 700.0, steps - 700.0,
+                            [0.0, -0.0, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]])
+        with np.errstate(under="ignore"):
+            want = reference(x)
+            assert np.array_equal(ad.stable_sigmoid(x), want)
+            assert np.array_equal(ad.sigmoid(ad.Tensor(x)).data, want)
+
+
 class TestReductionsAndSoftmax:
     def test_sum_axis_keepdims_fd(self):
         x = ad.Tensor(rand((2, 3, 4), seed=7))

@@ -224,12 +224,45 @@ class TestEval:
         (row,) = read_report(out)
         assert row["pq_th"] == "0.0000"
 
-    def test_config_mismatch_rejected(self, tmp_path, dataset, trained):
+    def test_config_mismatch_rejected(self, tmp_path, dataset, trained, capsys):
         out = tmp_path / "bad"
+        checkpoint = trained / "checkpoint.bin"
         rc = main(["eval", "--data", str(dataset),
-                   "--checkpoint", str(trained / "checkpoint.bin"),
+                   "--checkpoint", str(checkpoint),
                    "--out", str(out), "--n-fourier", "5"])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: checkpoint does not fit the requested "
+            "model: n_fourier (checkpoint 2, requested 5); s_ref "
+            "(checkpoint 2, requested 4); channels (checkpoint 4, requested "
+            "16); grid_size (checkpoint 2, requested 4)\n"
+        )
+
+    def test_one_inference_per_scene(self, tmp_path, trained, monkeypatch):
+        import corrseg.train as train_mod
+
+        # Twin scenes, so the twin rate is computed as well as PQ.
+        data = tmp_path / "twins"
+        cfg = tmp_path / "twin.cfg"
+        cfg.write_text(SMALL + "twin_mode=1\nmin_things=2\nmax_things=2\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(data),
+                     "--count", "3", "--seed", "40"]) == 0
+
+        infer = train_mod.infer_panoptic
+        calls = []
+
+        def counting(model, scene):
+            calls.append(scene.meta["seed"])
+            return infer(model, scene)
+
+        monkeypatch.setattr(train_mod, "infer_panoptic", counting)
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--data", str(data),
+                     "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--out", str(out)]) == 0
+        assert calls == ["40", "41", "42"]
+        (row,) = read_report(out)
+        assert row["twin_rate"] != "nan"
 
     def test_oracle_and_checkpoint_conflict(self, tmp_path, dataset, trained):
         rc = main(["eval", "--data", str(dataset), "--oracle",
@@ -298,6 +331,16 @@ class TestViz:
     def test_bad_point_format(self, icm_run, dataset, tmp_path):
         assert self.viz(icm_run, dataset, tmp_path / "v",
                         ["--point", "3;5"]) == 2
+
+    def test_config_mismatch_rejected(self, icm_run, dataset, tmp_path, capsys):
+        _, run = icm_run
+        rc = self.viz(icm_run, dataset, tmp_path / "v",
+                      ["--point", "1,1", "--n-fourier", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {run / 'checkpoint.bin'}: checkpoint does not fit the "
+            "requested model: n_fourier (checkpoint 2, requested 3)\n"
+        )
 
     def test_missing_branch_rejected(self, icm_run, dataset, tmp_path):
         cfg, run = icm_run

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from corrseg.errors import ShapeError
 from corrseg.metrics import PqAccumulator, compute_pq
@@ -173,6 +176,52 @@ class TestAgainstBruteForce:
             for cls, s in got.per_class.items():
                 sq, rq, pq = want["per_class"][cls]
                 assert (s.sq, s.rq, s.pq) == (sq, rq, pq), (trial, cls)
+
+
+# Non-contiguous ids, and ids far beyond the pixel count, so packed
+# (category, instance) keys must not collide or overflow.
+INSTANCE_IDS = st.sampled_from([1, 2, 5, 17, 1000, 2**31 - 1, 2**31 + 3, 2**40])
+
+
+@st.composite
+def labelings(draw, h, w):
+    """Void (-1), things 0..2 with instance ids, stuff 3..5 with id 0;
+    sometimes the whole map is a single segment."""
+    if draw(st.booleans()):
+        category = np.full((h, w), draw(st.integers(-1, 5)), dtype=np.int64)
+    else:
+        category = draw(hnp.arrays(np.int64, (h, w), elements=st.integers(-1, 5)))
+    ids = draw(hnp.arrays(np.int64, (h, w), elements=INSTANCE_IDS))
+    thing = (category >= 0) & (category < 3)
+    return pan(category, np.where(thing, ids, 0))
+
+
+@st.composite
+def pred_gt_pairs(draw):
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7))
+    gt = draw(labelings(h, w))
+    other = draw(labelings(h, w))
+    # Keep part of the ground truth so that some segments match.
+    keep = draw(hnp.arrays(bool, (h, w)))
+    pred = pan(np.where(keep, gt.category, other.category),
+               np.where(keep, gt.instance, other.instance))
+    return pred, gt
+
+
+class TestPackedKeysAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(pred_gt_pairs())
+    def test_add_equals_brute_force(self, pair):
+        pred, gt = pair
+        acc = PqAccumulator()
+        acc.add(pred, gt)
+        got = acc.result()
+        want = brute_force_pq(pred, gt)
+        assert (got.pq, got.sq, got.rq, got.pq_things, got.pq_stuff) == (
+            want["pq"], want["sq"], want["rq"], want["pq_th"], want["pq_st"])
+        assert {c: (s.sq, s.rq, s.pq) for c, s in got.per_class.items()} == \
+            want["per_class"]
 
 
 class TestAccumulator:

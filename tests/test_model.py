@@ -122,6 +122,7 @@ class TestDecode:
         masks = np.zeros((4, 4, 4))
         pred = decode_instances(cate, masks, self.cfg())
         assert len(pred) == 0
+        assert pred.masks == [] and pred.categories == [] and pred.scores == []
 
     def test_threshold_excludes_scores_at_or_below(self):
         cfg = self.cfg()
@@ -140,6 +141,17 @@ class TestDecode:
         pred = decode_instances(cate, np.zeros((4, 4, 4)), self.cfg())
         assert pred.categories == [0, 1, 2]
         assert pred.scores[0] > pred.scores[1] == pred.scores[2]
+
+    def test_each_mask_comes_from_its_cell(self):
+        cate = np.full((2, 2, 3), -10.0)
+        cate[1, 1, 0] = 2.0  # cell 3 first
+        cate[0, 0, 1] = 1.0  # then cell 0
+        cate[0, 1, 2] = 1.0  # then cell 1 (tie broken by cell index)
+        mask_logits = SplitMix64(9).uniform_array((4, 4, 4), -3.0, 3.0)
+        pred = decode_instances(cate, mask_logits, self.cfg())
+        for mask, cell in zip(pred.masks, [3, 0, 1]):
+            want = upsample_bilinear(ad.stable_sigmoid(mask_logits[cell]), STRIDE)
+            assert np.array_equal(mask, want)
 
     def test_masks_are_probabilities_at_image_scale(self):
         rng = SplitMix64(7)
@@ -181,6 +193,32 @@ class TestUpsample:
         up = upsample_bilinear(arr, 4)
         assert up[0, 0] == 1.0 and up[0, -1] == 2.0
         assert up[-1, 0] == 3.0 and up[-1, -1] == 4.0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_bilinear_stack_equals_per_slice_calls(self, n):
+        stack = SplitMix64(11).uniform_array((n, 3, 5), -4.0, 4.0)
+        up = upsample_bilinear(stack, 4)
+        assert up.shape == (n, 12, 20)
+        want = np.stack([upsample_bilinear(stack[i], 4) for i in range(n)])
+        assert np.array_equal(up, want)
+
+    def test_bilinear_matches_per_pixel_formula(self):
+        # Reference: every output pixel blends its four clamped neighbours
+        # with the same products and sums, in the same order.
+        arr = SplitMix64(12).uniform_array((3, 4), 0.0, 1.0)
+        factor = 3
+        up = upsample_bilinear(arr, factor)
+        for r in range(3 * factor):
+            for c in range(4 * factor):
+                y = (r + 0.5) / factor - 0.5
+                x = (c + 0.5) / factor - 0.5
+                y0, x0 = int(np.floor(y)), int(np.floor(x))
+                wy, wx = y - np.floor(y), x - np.floor(x)
+                ya, yb = min(max(y0, 0), 2), min(max(y0 + 1, 0), 2)
+                xa, xb = min(max(x0, 0), 3), min(max(x0 + 1, 0), 3)
+                top = arr[ya, xa] * (1.0 - wx) + arr[ya, xb] * wx
+                bottom = arr[yb, xa] * (1.0 - wx) + arr[yb, xb] * wx
+                assert up[r, c] == top * (1.0 - wy) + bottom * wy, (r, c)
 
     def test_bilinear_stays_within_input_range(self):
         rng = SplitMix64(5)

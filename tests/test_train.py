@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corrseg import train as train_mod
 from corrseg.errors import NumericsError
 from corrseg.model import InstancePrediction, ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
@@ -13,7 +14,6 @@ from corrseg.train import (
     make_optimizer,
     scene_to_panoptic,
     train_epoch,
-    twin_detection_rate,
     twins_covered,
 )
 
@@ -93,10 +93,34 @@ class TestInference:
 
     def test_evaluate_scenes_in_bounds(self):
         model = smoke_model(seed=8)
-        result = evaluate_scenes(model, smoke_scenes(2, seed=30))
+        result, rate = evaluate_scenes(model, smoke_scenes(2, seed=30))
         for value in (result.pq, result.sq, result.rq,
                       result.pq_things, result.pq_stuff):
             assert 0.0 <= value <= 1.0
+        assert np.isnan(rate)  # no twin scenes
+
+    def test_one_pass_per_scene_twin_rate_over_twin_scenes(self, monkeypatch):
+        twins = [generate_scene(SceneConfig(
+            height=32, width=32, twin_mode=True, seed=50 + i,
+        )) for i in range(2)]
+        scenes = smoke_scenes(2, seed=30) + twins
+        calls = []
+
+        def perfect_on_first_twin(model, scene):
+            calls.append(id(scene))
+            fused, _ = infer_panoptic(model, scene)
+            if scene is not twins[0]:
+                return fused, InstancePrediction(masks=[], categories=[], scores=[])
+            return fused, InstancePrediction(
+                masks=[m.astype(float) for m, _ in scene.instances],
+                categories=[c for _, c in scene.instances],
+                scores=[0.9] * len(scene.instances),
+            )
+
+        monkeypatch.setattr(train_mod, "infer_panoptic", perfect_on_first_twin)
+        _, rate = evaluate_scenes(smoke_model(seed=8), scenes)
+        assert calls == [id(scene) for scene in scenes]
+        assert rate == 0.5
 
 
 class TestTwinDetection:
@@ -150,4 +174,5 @@ class TestTwinDetection:
         scenes = [generate_scene(SceneConfig(
             height=32, width=32, twin_mode=True, seed=50 + i,
         )) for i in range(3)]
-        assert twin_detection_rate(model, scenes) == 0.0
+        _, rate = evaluate_scenes(model, scenes)
+        assert rate == 0.0
