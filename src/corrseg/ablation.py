@@ -29,23 +29,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NumericsError
+from .metrics import PQResult
 from .model import ModelConfig, PanopticModel
 from .rng import SplitMix64
 from .synth import SceneConfig, SyntheticScene, generate_scene
-from .train import (
-    evaluate_scenes,
-    make_optimizer,
-    spike_threshold,
-    train_epoch,
-)
+from .train import evaluate_scenes, fit
 
 VARIANTS = ("baseline", "scm", "icm", "scm_icm", "coords", "sinusoid")
 
 CSV_HEADER = ("variant", "pq", "sq", "rq", "pq_th", "pq_st", "twin_rate",
               "train_seconds")
-
-LR_DECAY_FACTOR = 0.3
-LR_DECAY_POINT = 0.75
 
 
 class CoordsEncoder:
@@ -153,17 +146,14 @@ def run_ablation(
     train_fraction: float = 0.8,
     out_path=None,
     variants: Sequence[str] = VARIANTS,
-    progress=None,
 ) -> List[Dict[str, object]]:
     """Train and evaluate each variant; returns one result dict per row.
 
-    Every variant gets the same schedule: SGD at ``lr`` with the rate
-    dropped by LR_DECAY_FACTOR after LR_DECAY_POINT of the epochs, and
-    per-scene flip augmentation.  The augmentation stream is re-seeded
-    identically for each variant so they all train on the exact same
-    sequence of augmented scenes; the comparison then isolates the
-    architecture.  A variant whose training hits a non-finite loss is
-    recorded as a row of NaNs and the sweep continues.
+    Every variant is trained by ``train.fit`` with the same ``lr`` and
+    ``seed``, so they all train on the exact same sequence of augmented
+    scenes; the comparison then isolates the architecture.  A variant
+    whose training hits a non-finite loss is recorded as a row of NaNs
+    and the sweep continues.
     """
     split = int(len(scenes) * train_fraction)
     train_scenes = list(scenes[:split])
@@ -174,52 +164,33 @@ def run_ablation(
             f"{len(held_out)} held-out"
         )
 
-    decay_epoch = int(epochs * LR_DECAY_POINT)
     rows: List[Dict[str, object]] = []
     for variant in variants:
         model = make_variant_model(variant, base_cfg, seed)
-        optimizer = make_optimizer(model, lr)
-        augment_rng = SplitMix64(seed + 1)
         start = time.perf_counter()
-        prev_mean = None
         try:
-            for epoch in range(epochs):
-                if epoch == decay_epoch:
-                    optimizer.lr = lr * LR_DECAY_FACTOR
-                mean_loss = train_epoch(model, optimizer, train_scenes,
-                                        augment_rng=augment_rng,
-                                        skip_above=spike_threshold(prev_mean))
-                prev_mean = mean_loss
-                if progress is not None:
-                    progress(variant, epoch, mean_loss)
-            elapsed = time.perf_counter() - start
-            result, twin_rate = evaluate_scenes(model, held_out)
-            rows.append({
-                "variant": variant,
-                "pq": result.pq,
-                "sq": result.sq,
-                "rq": result.rq,
-                "pq_th": result.pq_things,
-                "pq_st": result.pq_stuff,
-                "train_seconds": elapsed,
-                "twin_rate": twin_rate,
-            })
+            fit(model, train_scenes, epochs, lr, seed)
         except NumericsError:
-            elapsed = time.perf_counter() - start
-            rows.append({
-                "variant": variant,
-                "pq": float("nan"),
-                "sq": float("nan"),
-                "rq": float("nan"),
-                "pq_th": float("nan"),
-                "pq_st": float("nan"),
-                "train_seconds": elapsed,
-                "twin_rate": float("nan"),
-            })
+            rows.append(report_row(variant, None, float("nan"),
+                                   time.perf_counter() - start))
+            continue
+        elapsed = time.perf_counter() - start
+        result, twin_rate = evaluate_scenes(model, held_out)
+        rows.append(report_row(variant, result, twin_rate, elapsed))
 
     if out_path is not None:
         write_report(out_path, rows)
     return rows
+
+
+def report_row(variant: str, result: Optional[PQResult], twin_rate: float,
+               seconds: float) -> Dict[str, object]:
+    """One report row; a ``result`` of None (no model to score) gives NaNs."""
+    scores = (float("nan"),) * 5 if result is None else (
+        result.pq, result.sq, result.rq, result.pq_things, result.pq_stuff)
+    return {"variant": variant,
+            **dict(zip(("pq", "sq", "rq", "pq_th", "pq_st"), scores)),
+            "twin_rate": twin_rate, "train_seconds": seconds}
 
 
 def write_report(path, rows: List[Dict[str, object]]) -> None:

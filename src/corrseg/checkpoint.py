@@ -17,6 +17,7 @@ the requested one.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Dict
@@ -92,14 +93,27 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
     arrays: Dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = reader.u32("name length")
-        name = reader.take(name_len, "entry name").decode("utf-8")
+        try:
+            name = reader.take(name_len, "entry name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(
+                f"{reader.path}: entry name ending at byte {reader.pos} "
+                "is not UTF-8"
+            ) from None
         rank = reader.u32(f"rank of {name!r}")
         shape = struct.unpack(
             f"<{rank}Q", reader.take(8 * rank, f"extents of {name!r}")
         )
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        # Python ints do not wrap, so an oversized entry reads as truncated.
+        n_items = math.prod(shape)
         raw = reader.take(8 * n_items, f"data of {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            # Only an empty entry gets here: numpy rejects its extents.
+            raise DataFormatError(
+                f"{reader.path}: entry {name!r} has unsupported extents {shape}"
+            ) from None
     if reader.pos != len(reader.data):
         raise DataFormatError(
             f"{reader.path}: {len(reader.data) - reader.pos} trailing bytes "

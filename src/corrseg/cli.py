@@ -17,20 +17,14 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import corrfn
 from . import icm as icm_mod
 from . import scm as scm_mod
-from .ablation import (
-    LR_DECAY_FACTOR,
-    LR_DECAY_POINT,
-    make_twin_dataset,
-    run_ablation,
-    write_report,
-)
+from .ablation import make_twin_dataset, report_row, run_ablation, write_report
 from .autodiff import no_grad
 from .checkpoint import (
     load_checkpoint,
@@ -54,12 +48,10 @@ from .synth import (
 )
 from .train import (
     evaluate_scenes,
+    fit,
     is_twin_scene,
-    make_optimizer,
     scene_image,
     scene_to_panoptic,
-    spike_threshold,
-    train_epoch,
     twin_rate,
     twins_covered,
 )
@@ -270,7 +262,8 @@ def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_dataset(root: Path) -> List[SyntheticScene]:
+def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
+    """(seed, directory) of every numbered scene under root, by seed."""
     scenes_root = root / "scenes"
     if not scenes_root.is_dir():
         raise DataFormatError(f"{scenes_root}: no scenes directory")
@@ -283,7 +276,11 @@ def _load_dataset(root: Path) -> List[SyntheticScene]:
                 continue
     if not numbered:
         raise DataFormatError(f"{scenes_root}: dataset is empty")
-    return [load_scene(path) for _, path in sorted(numbered)]
+    return sorted(numbered)
+
+
+def _load_dataset(root: Path) -> List[SyntheticScene]:
+    return [load_scene(path) for _, path in _scene_dirs(root)]
 
 
 # -- commands -------------------------------------------------------------
@@ -331,25 +328,18 @@ def cmd_train(merged: Dict[str, object]) -> int:
     write_resolved(merged, out)
 
     train_seed = int(merged["train_seed"])
-    epochs = int(merged["epochs"])
-    lr = float(merged["lr"])
     model = PanopticModel(cfg, SplitMix64(train_seed))
-    optimizer = make_optimizer(model, lr)
-    augment_rng = SplitMix64(train_seed + 1)
-    decay_epoch = int(epochs * LR_DECAY_POINT)
     checkpoint_path = out / "checkpoint.bin"
     losses: List[float] = []
+
+    def on_epoch(epoch: int, mean_loss: float) -> None:
+        losses.append(mean_loss)
+        save_checkpoint(checkpoint_path, model_state(model))
+        print(f"epoch {epoch}: loss {mean_loss:.6f}")
+
     try:
-        for epoch in range(epochs):
-            if epoch == decay_epoch:
-                optimizer.lr = lr * LR_DECAY_FACTOR
-            prev_mean = losses[-1] if losses else None
-            mean_loss = train_epoch(model, optimizer, scenes,
-                                    augment_rng=augment_rng,
-                                    skip_above=spike_threshold(prev_mean))
-            losses.append(mean_loss)
-            save_checkpoint(checkpoint_path, model_state(model))
-            print(f"epoch {epoch}: loss {mean_loss:.6f}")
+        fit(model, scenes, int(merged["epochs"]), float(merged["lr"]),
+            train_seed, on_epoch=on_epoch)
     except NumericsError:
         # Keep the per-epoch record and the last finite-loss checkpoint.
         _write_losses(out / "losses.csv", losses)
@@ -398,17 +388,7 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         result, rate = evaluate_scenes(model, scenes)
         variant = "model"
 
-    row = {
-        "variant": variant,
-        "pq": result.pq,
-        "sq": result.sq,
-        "rq": result.rq,
-        "pq_th": result.pq_things,
-        "pq_st": result.pq_stuff,
-        "twin_rate": rate,
-        "train_seconds": 0.0,
-    }
-    write_report(out / "report.csv", [row])
+    write_report(out / "report.csv", [report_row(variant, result, rate, 0.0)])
     print(
         f"{variant}: pq={result.pq:.4f} sq={result.sq:.4f} rq={result.rq:.4f} "
         f"pq_th={result.pq_things:.4f} pq_st={result.pq_stuff:.4f} "
@@ -427,24 +407,6 @@ def _parse_point(raw: str) -> tuple:
         raise ConfigError(f"point expects integers, got {raw!r}") from None
 
 
-def _viz_seed(merged: Dict[str, object], data: Path) -> int:
-    if merged["seed"] is not None:
-        return int(merged["seed"])
-    scenes_root = data / "scenes"
-    if not scenes_root.is_dir():
-        raise DataFormatError(f"{scenes_root}: no scenes directory")
-    seeds = []
-    for child in scenes_root.iterdir():
-        if child.is_dir():
-            try:
-                seeds.append(int(child.name))
-            except ValueError:
-                continue
-    if not seeds:
-        raise DataFormatError(f"{scenes_root}: dataset is empty")
-    return min(seeds)
-
-
 def cmd_viz(merged: Dict[str, object]) -> int:
     _require(merged, "checkpoint", "out", "data", "point", "branch")
     branch = str(merged["branch"])
@@ -452,7 +414,10 @@ def cmd_viz(merged: Dict[str, object]) -> int:
         raise ConfigError(f"branch must be scm or icm, got {branch!r}")
     x, y = _parse_point(str(merged["point"]))
     data = Path(merged["data"])
-    merged["seed"] = _viz_seed(merged, data)
+    if merged["seed"] is None:
+        merged["seed"], scene_path = _scene_dirs(data)[0]
+    else:
+        scene_path = scene_dir(data, int(merged["seed"]))
     cfg = _model_config(merged)
     out = Path(merged["out"])
     write_resolved(merged, out)
@@ -460,7 +425,7 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     arrays = load_checkpoint(merged["checkpoint"])
     model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
     load_model_state(model, arrays, str(merged["checkpoint"]))
-    scene = load_scene(scene_dir(data, int(merged["seed"])))
+    scene = load_scene(scene_path)
 
     with no_grad():
         features = model.backbone(scene_image(scene))

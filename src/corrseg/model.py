@@ -218,27 +218,6 @@ class PanopticModel:
         return ModelOutputs(sem_logits=sem_logits, cate_logits=cate_logits,
                             mask_logits=mask_logits)
 
-    # -- inference -------------------------------------------------------
-
-    def predict_instances(self, image: Tensor) -> InstancePrediction:
-        """Raw per-cell predictions above the pre-NMS score threshold.
-
-        Masks are sigmoid probabilities upsampled (bilinear) to image size,
-        ordered by descending score with grid-cell index breaking ties.
-        """
-        with ad.no_grad():
-            outputs = self.forward(image)
-        return decode_instances(
-            outputs.cate_logits.data, outputs.mask_logits.data, self.cfg
-        )
-
-    def semantic_map(self, image: Tensor) -> np.ndarray:
-        """Per-pixel argmax class ids at image resolution."""
-        with ad.no_grad():
-            features = self.backbone(image)
-            logits = self.semantic_logits(features)
-        return upsample_nearest(np.argmax(logits.data, axis=-1), STRIDE)
-
 
 def decode_instances(
     cate_logits: np.ndarray, mask_logits: np.ndarray, cfg: ModelConfig

@@ -1,7 +1,7 @@
 """Deterministic counter-based random number generation.
 
 All stochastic choices in the package (scene synthesis, weight
-initialization, epoch shuffling) draw from SplitMix64 so that every output
+initialization, flip augmentation) draw from SplitMix64 so that every output
 is a pure function of an integer seed and the draw index.  SplitMix64 is a
 64-bit counter-based mixer (Steele, Lea & Flood's splittable generator
 finalizer); a port in any language that reproduces the mixing constants
@@ -76,9 +76,3 @@ class SplitMix64:
         z = z ^ (z >> np.uint64(31))
         doubles = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (low + (high - low) * doubles).reshape(shape)
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]

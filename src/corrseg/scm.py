@@ -10,6 +10,10 @@ attention.  Two aggregation modes:
 - axial (default): independent softmaxes along the row and the column of
   each location, summed, cost O(HW (H+W) C).
 
+Counting only the weighted feature sums, the dominant term of each mode,
+one aggregation takes exactly (HW)^2 C (global) or HW (H+W) C (axial)
+multiply-accumulates.
+
 The output is added to the input features (residual).
 """
 
@@ -24,27 +28,6 @@ from .autodiff import Tensor
 from .corrfn import CorrParamField, corr_profile
 from .errors import ShapeError
 from .rng import SplitMix64
-
-
-class MacCounter:
-    """Tally of feature-aggregation multiply-accumulates.
-
-    Counts only the weighted feature sums, the asymptotically dominant
-    term of each aggregation mode, so mode cost ratios come out exact.
-    Advisory instrumentation; not thread-safe.
-    """
-
-    def __init__(self):
-        self.value = 0
-
-    def add(self, n: int) -> None:
-        self.value += int(n)
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-aggregation_macs = MacCounter()
 
 
 @dataclass
@@ -118,7 +101,6 @@ def aggregate_global(features: Tensor, field: CorrParamField) -> Tensor:
         ad.reshape(ver, (h, w, h, 1)), ad.reshape(hor, (h, w, 1, w))
     )
     weights = ad.softmax(ad.reshape(cor2d, (h * w, h * w)), axis=-1)
-    aggregation_macs.add(h * w * h * w * c)
     out = weights @ ad.reshape(features, (h * w, c))
     return ad.reshape(out, (h, w, c))
 
@@ -126,14 +108,13 @@ def aggregate_global(features: Tensor, field: CorrParamField) -> Tensor:
 def axial_terms(features: Tensor, field: CorrParamField):
     """Row- and column-aggregated features, each under its own softmax."""
     _require_matching(features, field)
-    h, w, c = features.shape
+    h, w = features.shape[0], features.shape[1]
     hor, ver = _profiles(field, h, w)
     row_w = ad.softmax(hor, axis=-1)
     row_term = row_w @ features  # (H,W,W) @ (H,W,C)
     col_w = ad.transpose(ad.softmax(ver, axis=-1), (1, 0, 2))  # (W,H,H)
     col_feats = ad.transpose(features, (1, 0, 2))  # (W,H,C)
     col_term = ad.transpose(col_w @ col_feats, (1, 0, 2))
-    aggregation_macs.add(h * w * w * c + h * w * h * c)
     return row_term, col_term
 
 

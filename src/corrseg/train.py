@@ -1,9 +1,10 @@
-"""Training loop and scene-level evaluation helpers.
+"""The training schedule and scene-level evaluation helpers.
 
 Plain SGD (momentum 0.9, weight decay 1e-4) over scenes in a fixed order,
-one scene per step.  A non-finite loss aborts with NumericsError so the
-caller keeps the last finished epoch's checkpoint.  Evaluation runs one
-inference pass per scene (forward, decode, NMS, fusion) and uses it
+one scene per step; ``fit`` is the one schedule that ``corrseg train``
+and every ablation variant run.  A non-finite loss aborts with
+NumericsError so the caller keeps the last finished epoch's checkpoint.
+Evaluation runs one inference pass per scene (forward, decode, NMS, fusion) and uses it
 twice: the fused labeling feeds the PQ accumulator, and the post-NMS
 instances of each twin scene decide whether both twins were found, which
 gives the twin rate alongside PQ.
@@ -12,7 +13,7 @@ gives the twin rate alongside PQ.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,11 +31,19 @@ from .model import (
     upsample_nearest,
 )
 from .postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms
+from .rng import SplitMix64
 from .synth import SyntheticScene
 
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
 MAX_GRAD_NORM = 5.0
+LR_DECAY_FACTOR = 0.3
+LR_DECAY_POINT = 0.75
+# A step is rejected when its loss exceeds SPIKE_FACTOR times the
+# previous epoch's mean.  The first epoch rejects nothing: there is
+# nothing to compare against, and an untrained model is uniformly
+# mediocre anyway.
+SPIKE_FACTOR = 10.0
 
 
 def make_optimizer(model: PanopticModel, lr: float) -> SGD:
@@ -128,14 +137,37 @@ def train_epoch(
     return float(np.mean(losses))
 
 
-def spike_threshold(prev_mean: Optional[float], factor: float = 10.0
-                    ) -> Optional[float]:
-    """Loss level above which a step should be rejected, given the
-    previous epoch's mean; None for the first epoch (nothing to compare
-    against, and an untrained model is uniformly mediocre anyway)."""
-    if prev_mean is None:
-        return None
-    return factor * prev_mean
+def fit(
+    model: PanopticModel,
+    scenes: Sequence[SyntheticScene],
+    epochs: int,
+    lr: float,
+    seed: int,
+    on_epoch: Optional[Callable[[int, float], None]] = None,
+) -> List[float]:
+    """Train ``model`` for ``epochs`` passes; returns each epoch's mean loss.
+
+    SGD starts at ``lr`` and drops by LR_DECAY_FACTOR from epoch
+    ``int(epochs * LR_DECAY_POINT)`` on.  Flip augmentation draws from one
+    ``SplitMix64(seed + 1)`` stream that runs on across epochs, so runs
+    with the same seed train on the exact same sequence of augmented
+    scenes.  ``on_epoch(epoch, mean_loss)`` runs after each epoch; a
+    NumericsError propagates after the finished epochs have reached it.
+    """
+    optimizer = make_optimizer(model, lr)
+    augment_rng = SplitMix64(seed + 1)
+    decay_epoch = int(epochs * LR_DECAY_POINT)
+    losses: List[float] = []
+    for epoch in range(epochs):
+        if epoch == decay_epoch:
+            optimizer.lr = lr * LR_DECAY_FACTOR
+        skip_above = SPIKE_FACTOR * losses[-1] if losses else None
+        mean_loss = train_epoch(model, optimizer, scenes,
+                                augment_rng=augment_rng, skip_above=skip_above)
+        losses.append(mean_loss)
+        if on_epoch is not None:
+            on_epoch(epoch, mean_loss)
+    return losses
 
 
 def infer_panoptic(

@@ -1,9 +1,17 @@
 """Binary checkpoint format round-trips and corruption reporting."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrseg.checkpoint import (
+    MAGIC,
+    VERSION,
     check_config,
     config_entries,
     load_checkpoint,
@@ -11,6 +19,7 @@ from corrseg.checkpoint import (
     model_state,
     save_checkpoint,
 )
+from corrseg.cli import main
 from corrseg.errors import DataFormatError
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
@@ -89,6 +98,79 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(DataFormatError, match="trailing"):
             load_checkpoint(path)
+
+
+def non_utf8_name(path):
+    """A valid one-entry checkpoint whose entry name is the byte 0xff."""
+    save_checkpoint(path, {"w": np.ones((2, 2))})
+    data = bytearray(path.read_bytes())
+    data[16] = 0xFF  # magic, version, count, name length, then the name
+    path.write_bytes(bytes(data))
+
+
+def one_entry(extents, payload=b""):
+    """Checkpoint bytes with one entry, named "w", of the given extents."""
+    return (MAGIC + struct.pack("<III", VERSION, 1, 1) + b"w"
+            + struct.pack(f"<I{len(extents)}Q", len(extents), *extents)
+            + payload)
+
+
+def wrapping_extents(path):
+    """Extents whose item count wraps to a negative int64."""
+    path.write_bytes(one_entry((2**32, 2**32 - 1), bytes(64)))
+
+
+CRAFTED = {"non_utf8_name": non_utf8_name, "wrapping_extents": wrapping_extents}
+
+
+class TestFailsClosed:
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        non_utf8_name(path)
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_oversized_entry_reads_as_truncated(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        wrapping_extents(path)
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_empty_entry_with_unsupported_extents(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(one_entry((0, 2**63)))
+        with pytest.raises(DataFormatError, match="extents"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("craft", sorted(CRAFTED))
+    def test_eval_exits_3(self, tmp_path, craft, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--count", "1",
+                     "--seed", "0"]) == 0
+        checkpoint = tmp_path / "bad.bin"
+        CRAFTED[craft](checkpoint)
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    def test_corrupted_bytes_load_or_raise_data_format_error(self, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ckpt"
+            save_checkpoint(path, {"a": np.arange(3.0), "b": np.asarray(2.5),
+                                   "c": np.zeros((2, 0))})
+            data = bytearray(path.read_bytes())
+            for position, mask in flips:
+                data[position % len(data)] ^= mask
+            path.write_bytes(bytes(data))
+            try:
+                loaded = load_checkpoint(path)
+            except DataFormatError:
+                return
+            assert all(isinstance(v, np.ndarray) for v in loaded.values())
 
 
 class TestConfigGuard:

@@ -16,6 +16,8 @@ from corrseg.model import (
     upsample_nearest,
 )
 from corrseg.rng import SplitMix64
+from corrseg.synth import SceneConfig, generate_scene
+from corrseg.train import infer_panoptic
 
 
 def tiny_cfg(**overrides):
@@ -94,8 +96,10 @@ class TestHeads:
         # category bias starts at -4.59, so scores sit near 0.01 while the
         # pre-NMS threshold is 0.1
         model = PanopticModel(tiny_cfg(), SplitMix64(4))
-        pred = model.predict_instances(random_image(16, 16, seed=9))
+        scene = generate_scene(SceneConfig(height=16, width=16, seed=9))
+        fused, pred = infer_panoptic(model, scene)
         assert len(pred) == 0
+        assert not fused.instance.any()
 
     def test_scm_and_icm_paths_run(self):
         cfg = tiny_cfg(use_scm=True, use_icm=True)

@@ -10,6 +10,7 @@ from corrseg.rng import SplitMix64
 from corrseg.synth import SceneConfig, generate_scene
 from corrseg.train import (
     evaluate_scenes,
+    fit,
     infer_panoptic,
     make_optimizer,
     scene_to_panoptic,
@@ -81,6 +82,62 @@ class TestTrainEpoch:
         model = smoke_model()
         with pytest.raises(ValueError):
             train_epoch(model, make_optimizer(model, lr=0.1), [])
+
+
+class TestFit:
+    def scripted_epochs(self, monkeypatch, losses, fail_at=None):
+        """Replace the module's train_epoch; record each call's arguments."""
+        calls = []
+        scripted = iter(losses)
+
+        def fake_epoch(*args, **kwargs):
+            model, optimizer, scenes = args
+            rng = kwargs["augment_rng"]
+            calls.append(dict(args=args, kwargs=kwargs, lr=optimizer.lr,
+                              counter=rng.counter))
+            if len(calls) - 1 == fail_at:
+                raise NumericsError("scripted divergence")
+            rng.next_double()  # one draw per epoch stands in for the flips
+            return next(scripted)
+
+        monkeypatch.setattr(train_mod, "train_epoch", fake_epoch)
+        return calls
+
+    def test_schedule(self, monkeypatch):
+        losses = [2.0, 1.0, 50.0, 0.5, 0.25, 0.125, 0.0625, 0.5, 0.25, 0.125]
+        calls = self.scripted_epochs(monkeypatch, losses)
+        model, scenes = smoke_model(), smoke_scenes(1)
+        seen = []
+        result = fit(model, scenes, epochs=10, lr=0.2, seed=5,
+                     on_epoch=lambda epoch, loss: seen.append((epoch, loss)))
+
+        assert result == losses
+        assert seen == list(enumerate(losses))
+        for call in calls:
+            assert len(call["args"]) == 3
+            assert call["args"][0] is model
+            assert call["args"][2] is scenes
+            assert set(call["kwargs"]) == {"augment_rng", "skip_above"}
+        # Spike rejection: none in epoch 0, then 10x the previous mean.
+        assert [c["kwargs"]["skip_above"] for c in calls] == [
+            None, 20.0, 10.0, 500.0, 5.0, 2.5, 1.25, 0.625, 5.0, 2.5]
+        # int(0.75 * 10) == 7: the rate drops exactly there and stays down.
+        assert [c["lr"] for c in calls] == [0.2] * 7 + [0.2 * 0.3] * 3
+        # One optimizer and one augment stream, seeded seed + 1, run on
+        # across epochs.
+        assert len({id(c["args"][1]) for c in calls}) == 1
+        rngs = [c["kwargs"]["augment_rng"] for c in calls]
+        assert all(rng is rngs[0] for rng in rngs)
+        assert rngs[0].seed == 6
+        assert [c["counter"] for c in calls] == list(range(10))
+
+    def test_divergence_propagates_after_finished_epochs(self, monkeypatch):
+        self.scripted_epochs(monkeypatch, [3.0, 2.0], fail_at=2)
+        seen = []
+        with pytest.raises(NumericsError):
+            fit(smoke_model(), smoke_scenes(1), epochs=4, lr=0.1, seed=0,
+                on_epoch=lambda epoch, loss: seen.append(loss))
+        assert seen == [3.0, 2.0]
 
 
 class TestInference:
