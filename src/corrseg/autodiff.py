@@ -6,8 +6,7 @@ them.  Calling :meth:`Tensor.backward` on a scalar walks the graph once in
 reverse topological order and populates ``grad`` on every reachable tensor
 with ``requires_grad`` set.
 
-Scalars are float64 by default; float32 can be requested per tensor for
-cheaper training.  All documented tolerances assume float64.
+Every tensor holds float64; all documented tolerances assume it.
 
 A graph is confined to one logical thread between construction and
 backward; tensors without gradient tracking are immutable by convention
@@ -24,8 +23,6 @@ import numpy as np
 
 from .errors import AutodiffError, NumericsError, ShapeError
 from .rng import SplitMix64
-
-DEFAULT_DTYPE = np.float64
 
 _GRAD_ENABLED = True
 
@@ -69,11 +66,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_done")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -94,17 +88,10 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -230,8 +217,8 @@ class Tensor:
 TensorLike = Union[Tensor, np.ndarray, float, int, Sequence]
 
 
-def as_tensor(x: TensorLike, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x: TensorLike) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, grad_fn, requires_grad) -> Tensor:
@@ -589,17 +576,14 @@ def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -
 # -- parameters and optimization ---------------------------------------------------
 
 
-def init_parameter(shape, fan_in: int, rng: SplitMix64, dtype=None) -> Tensor:
+def init_parameter(shape, fan_in: int, rng: SplitMix64) -> Tensor:
     """Centered uniform init scaled by 1/sqrt(fan_in), gradient-tracked."""
     bound = 1.0 / math.sqrt(max(1, fan_in))
-    data = rng.uniform_array(shape, -bound, bound)
-    if dtype is not None:
-        data = data.astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return Tensor(rng.uniform_array(shape, -bound, bound), requires_grad=True)
 
 
-def zeros_parameter(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or DEFAULT_DTYPE), requires_grad=True)
+def zeros_parameter(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 class SGD:

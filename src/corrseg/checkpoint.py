@@ -145,7 +145,13 @@ def check_config(arrays: Dict[str, np.ndarray], cfg: ModelConfig, source) -> Non
     for key, want in expected.items():
         if key not in arrays:
             raise DataFormatError(f"{source}: checkpoint is missing {key!r}")
-        stored = float(np.asarray(arrays[key]).reshape(()))
+        entry = np.asarray(arrays[key])
+        if entry.size != 1:
+            raise DataFormatError(
+                f"{source}: checkpoint entry {key!r} has shape {entry.shape}, "
+                f"expected a scalar"
+            )
+        stored = float(entry.reshape(()))
         if stored != float(want):
             mismatched.append(
                 f"{key.split('.', 1)[1]} (checkpoint {stored:g}, "

@@ -438,12 +438,12 @@ def cmd_viz(merged: Dict[str, object]) -> int:
             field = scm_mod.predict_params(features, model.scm_weights)
         else:
             encoder = model.instance_encoder
-            if encoder is None or not hasattr(encoder, "weights"):
+            if not isinstance(encoder, icm_mod.IcmWeights):
                 raise ConfigError(
                     "checkpoint was trained without the instance branch "
                     "(use_icm=0); nothing to visualize"
                 )
-            field = icm_mod.predict_params(features, encoder.weights)
+            field = icm_mod.predict_params(features, encoder)
 
     height, width = features.shape[0], features.shape[1]
     if not (0 <= x < width and 0 <= y < height):

@@ -65,21 +65,6 @@ class CorrParams1D:
 
 
 @dataclass
-class CorrSequence:
-    """Correlations of one origin location to the L locations of an axis."""
-
-    values: np.ndarray
-    origin: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.values.size < 1:
-            raise ShapeError("correlation sequence must have at least one value")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("correlation sequence must be finite")
-
-
-@dataclass
 class CorrParamField:
     """Per-location horizontal and vertical parameters, packed channelwise.
 
@@ -106,18 +91,6 @@ class CorrParamField:
     def width(self) -> int:
         return self.hor.shape[1]
 
-    @property
-    def n_terms(self) -> int:
-        return (self.hor.shape[2] - 1) // 2
-
-    @property
-    def n_scalars(self) -> int:
-        h, w = self.height, self.width
-        return h * w * 2 * (2 * self.n_terms + 1)
-
-
-def params_to_vector(theta: CorrParams1D) -> np.ndarray:
-    return np.concatenate(([theta.a0], theta.amplitudes, theta.phases))
 
 def vector_to_params(vec: ArrayLike) -> CorrParams1D:
     vec = np.asarray(vec, dtype=float).reshape(-1)
@@ -132,10 +105,9 @@ def theta_at(field: CorrParamField, row: int, col: int) -> Tuple[CorrParams1D, C
     return vector_to_params(hor[row, col]), vector_to_params(ver[row, col])
 
 
-def mirror_extend(c) -> np.ndarray:
+def mirror_extend(c: ArrayLike) -> np.ndarray:
     """[a, b, c] -> [a, b, c, c, b, a]; continuous at the seam, period 2L."""
-    values = c.values if isinstance(c, CorrSequence) else np.asarray(c, dtype=float)
-    values = values.reshape(-1)
+    values = np.asarray(c, dtype=float).reshape(-1)
     if values.size < 1:
         raise ShapeError("cannot mirror-extend an empty sequence")
     return np.concatenate([values, values[::-1]])

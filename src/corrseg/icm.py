@@ -6,13 +6,14 @@ location a positional signature: its correlation values against a fixed
 uniform grid of S*S reference points, stacked into an S*S-channel vector,
 projected to C channels and added to the (linearly projected) features.
 
-The parameter-prediction head mirrors the semantic module's structure but
-owns independent weights; the two projections carry no bias, so the
-positional contribution is exactly linear in the correlation values.
+The parameter-prediction head is an ``scm.ScmWeights`` with its own
+weights; the two projections carry no bias, so the positional
+contribution is exactly linear in the correlation values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,6 @@ class ReferenceGrid:
     height: int
     width: int
     points: np.ndarray  # (s*s, 2) as (x, y), row-major over grid cells
-
-    @property
-    def n_points(self) -> int:
-        return self.s * self.s
 
 
 def make_reference_grid(height: int, width: int, s: int) -> ReferenceGrid:
@@ -68,57 +65,37 @@ def reference_correlations(field: CorrParamField, refs: ReferenceGrid) -> Tensor
 
 @dataclass
 class IcmWeights:
-    """Parameter-prediction trunk/heads plus the two bias-free projections."""
+    """The instance encoder: a parameter head of the SCM's shape with its
+    own weights, plus the two bias-free projections."""
 
-    pre_conv: Tensor
-    pre_bias: Tensor
-    hor_head: Tensor
-    hor_bias: Tensor
-    ver_head: Tensor
-    ver_bias: Tensor
+    head: scm.ScmWeights
     feat_proj: Tensor  # (1, 1, C, C)
     corr_proj: Tensor  # (1, 1, S*S, C)
 
     @classmethod
     def init(cls, channels: int, n_terms: int, s: int, rng: SplitMix64) -> "IcmWeights":
-        k = 2 * n_terms + 1
         return cls(
-            pre_conv=ad.init_parameter((3, 3, channels, channels), 9 * channels, rng),
-            pre_bias=ad.zeros_parameter((channels,)),
-            hor_head=ad.init_parameter((1, 1, channels, k), channels, rng),
-            hor_bias=ad.zeros_parameter((k,)),
-            ver_head=ad.init_parameter((1, 1, channels, k), channels, rng),
-            ver_bias=ad.zeros_parameter((k,)),
+            head=scm.ScmWeights.init(channels, n_terms, rng),
             feat_proj=ad.init_parameter((1, 1, channels, channels), channels, rng),
             corr_proj=ad.init_parameter((1, 1, s * s, channels), s * s, rng),
         )
 
-    @property
-    def n_terms(self) -> int:
-        return (self.hor_head.shape[3] - 1) // 2
-
     def parameters(self, prefix: str = "icm") -> dict:
         return {
-            f"{prefix}.pre_conv": self.pre_conv,
-            f"{prefix}.pre_bias": self.pre_bias,
-            f"{prefix}.hor_head": self.hor_head,
-            f"{prefix}.hor_bias": self.hor_bias,
-            f"{prefix}.ver_head": self.ver_head,
-            f"{prefix}.ver_bias": self.ver_bias,
+            **self.head.parameters(prefix),
             f"{prefix}.feat_proj": self.feat_proj,
             f"{prefix}.corr_proj": self.corr_proj,
         }
 
-    def _theta_head(self) -> scm.ScmWeights:
-        return scm.ScmWeights(
-            pre_conv=self.pre_conv, pre_bias=self.pre_bias,
-            hor_head=self.hor_head, hor_bias=self.hor_bias,
-            ver_head=self.ver_head, ver_bias=self.ver_bias,
-        )
+    def encode(self, features: Tensor) -> Tensor:
+        """ICM output over a reference grid sized by ``corr_proj``'s inputs."""
+        s = math.isqrt(self.corr_proj.shape[2])
+        refs = make_reference_grid(features.shape[0], features.shape[1], s)
+        return icm_forward(features, self, refs)
 
 
 def predict_params(features: Tensor, weights: IcmWeights) -> CorrParamField:
-    return scm.predict_params(features, weights._theta_head())
+    return scm.predict_params(features, weights.head)
 
 
 def combine(features: Tensor, corrs: Tensor, weights: IcmWeights) -> Tensor:

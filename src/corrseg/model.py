@@ -99,21 +99,6 @@ class ModelOutputs:
     mask_logits: Tensor  # (G*G, Hf, Wf)
 
 
-class IcmEncoder:
-    """Production instance-branch enhancer backed by the ICM."""
-
-    def __init__(self, channels: int, n_terms: int, s: int, rng: SplitMix64):
-        self.s = s
-        self.weights = icm_mod.IcmWeights.init(channels, n_terms, s, rng)
-
-    def encode(self, features: Tensor) -> Tensor:
-        refs = icm_mod.make_reference_grid(features.shape[0], features.shape[1], self.s)
-        return icm_mod.icm_forward(features, self.weights, refs)
-
-    def parameters(self, prefix: str = "icm") -> Dict[str, Tensor]:
-        return self.weights.parameters(prefix)
-
-
 def _conv_block(channels_in: int, channels_out: int, rng: SplitMix64, k: int = 3):
     kernel = ad.init_parameter((k, k, channels_in, channels_out), k * k * channels_in, rng)
     bias = ad.zeros_parameter((channels_out,))
@@ -140,7 +125,7 @@ class PanopticModel:
         if instance_encoder is not None:
             self.instance_encoder = instance_encoder
         elif cfg.use_icm:
-            self.instance_encoder = IcmEncoder(c, cfg.n_fourier, cfg.s_ref, rng)
+            self.instance_encoder = icm_mod.IcmWeights.init(c, cfg.n_fourier, cfg.s_ref, rng)
         else:
             self.instance_encoder = None
 

@@ -53,10 +53,6 @@ class ScmWeights:
             ver_bias=ad.zeros_parameter((k,)),
         )
 
-    @property
-    def n_terms(self) -> int:
-        return (self.hor_head.shape[3] - 1) // 2
-
     def parameters(self, prefix: str = "scm") -> dict:
         return {
             f"{prefix}.pre_conv": self.pre_conv,

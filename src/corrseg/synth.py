@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -345,17 +345,50 @@ def parse_keyvalue(text: str, source: str = "<string>") -> Dict[str, str]:
     return out
 
 
+def _load_plane(path: Path, shape: Tuple[int, int]) -> np.ndarray:
+    plane = load_pgm(path)
+    if plane.shape != shape:
+        raise DataFormatError(
+            f"{path}: size {plane.shape[1]}x{plane.shape[0]} differs from the "
+            f"image's {shape[1]}x{shape[0]}"
+        )
+    return plane
+
+
 def load_scene(directory) -> SyntheticScene:
+    """Read a scene written by save_scene; fails closed on any file that
+    does not fit the image or the category ranges."""
     directory = Path(directory)
     meta_path = directory / "scene.meta"
     if not meta_path.is_file():
         raise DataFormatError(f"{meta_path}: manifest missing")
-    meta = parse_keyvalue(meta_path.read_text(encoding="utf-8"), str(meta_path))
+    try:
+        text = meta_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{meta_path}: not UTF-8 at byte {exc.start}") from None
+    meta = parse_keyvalue(text, str(meta_path))
+    categories = []
+    for raw in meta.get("categories", "").split(","):
+        if raw == "":
+            continue
+        if not (raw.strip().isdecimal() and int(raw) < THING_CLASSES):
+            raise DataFormatError(
+                f"{meta_path}: instance category {raw!r} is outside "
+                f"0..{THING_CLASSES - 1}"
+            )
+        categories.append(int(raw))
     image = load_ppm(directory / "image.ppm").astype(float) / 255.0
-    semantic = load_pgm(directory / "semantic.pgm").astype(np.int64)
-    categories = [int(c) for c in meta.get("categories", "").split(",") if c != ""]
-    instances = []
-    for k, category in enumerate(categories):
-        mask = load_pgm(directory / f"inst_{k}.pgm") > 127
-        instances.append((mask, category))
+    shape = image.shape[:2]
+    semantic_path = directory / "semantic.pgm"
+    semantic = _load_plane(semantic_path, shape).astype(np.int64)
+    n_classes = THING_CLASSES + STUFF_CLASSES
+    if semantic.max(initial=0) >= n_classes:
+        raise DataFormatError(
+            f"{semantic_path}: semantic id {semantic.max()} is outside "
+            f"0..{n_classes - 1}"
+        )
+    instances = [
+        (_load_plane(directory / f"inst_{k}.pgm", shape) > 127, category)
+        for k, category in enumerate(categories)
+    ]
     return SyntheticScene(image=image, semantic=semantic, instances=instances, meta=meta)

@@ -25,7 +25,6 @@ from .metrics import PqAccumulator, PQResult
 from .model import (
     STRIDE,
     InstancePrediction,
-    ModelConfig,
     PanopticModel,
     decode_instances,
     upsample_nearest,
@@ -176,12 +175,10 @@ def infer_panoptic(
     """One forward pass -> (fused panoptic labeling, post-NMS instances)."""
     cfg = model.cfg
     with ad.no_grad():
-        features = model.backbone(scene_image(scene))
-        sem_logits = model.semantic_logits(features)
-        cate_logits, mask_logits = model.instance_maps(features)
-    pred = decode_instances(cate_logits.data, mask_logits.data, cfg)
+        outputs = model.forward(scene_image(scene))
+    pred = decode_instances(outputs.cate_logits.data, outputs.mask_logits.data, cfg)
     pred = matrix_nms(pred, sigma=cfg.nms_sigma)
-    semantic = upsample_nearest(np.argmax(sem_logits.data, axis=-1), STRIDE)
+    semantic = upsample_nearest(np.argmax(outputs.sem_logits.data, axis=-1), STRIDE)
     return fuse_panoptic(pred, semantic, cfg), pred
 
 

@@ -200,3 +200,24 @@ class TestConfigGuard:
         assert float(entries["config.scm_mode"]) == 0.0
         entries = config_entries(ModelConfig(scm_mode="axial"))
         assert float(entries["config.scm_mode"]) == 1.0
+
+    def test_non_scalar_config_entry_rejected(self):
+        state = model_state(small_model(seed=5))
+        state["config.channels"] = np.asarray([4.0, 4.0])
+        with pytest.raises(DataFormatError, match="'config.channels'"):
+            check_config(state, small_model(seed=5).cfg, "test")
+
+    def test_non_scalar_config_entry_makes_eval_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--count", "1",
+                     "--seed", "0"]) == 0
+        state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
+        state["config.channels"] = np.asarray([16.0, 16.0])
+        checkpoint = tmp_path / "bad.bin"
+        save_checkpoint(checkpoint, state)
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: ")
+        assert "'config.channels'" in err

@@ -200,6 +200,19 @@ class TestTrain:
         # Scenes train one per step, so equal bytes mean the same order.
         assert checkpoints[0] == checkpoints[1]
 
+    def test_out_of_range_category_exits_3(self, tmp_path, dataset, small_cfg,
+                                           capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        meta = data / "scenes" / "8" / "scene.meta"
+        fields = parse_keyvalue(meta.read_text())
+        fields["categories"] = "7"
+        meta.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        rc = main(["train", "--config", small_cfg, "--data", str(data),
+                   "--out", str(tmp_path / "run"), "--epochs", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {meta}: ")
+
     def test_divergence_aborts_with_numeric_exit(self, tmp_path, dataset,
                                                  small_cfg, capsys):
         out = tmp_path / "boom"

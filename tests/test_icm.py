@@ -3,7 +3,7 @@ import pytest
 
 from corrseg import autodiff as ad
 from corrseg import corrfn as cf
-from corrseg import icm
+from corrseg import icm, scm
 from corrseg.errors import ShapeError
 from corrseg.rng import SplitMix64
 
@@ -15,7 +15,7 @@ class TestReferenceGrid:
 
     def test_full_resolution_grid(self):
         grid = icm.make_reference_grid(16, 16, 16)
-        assert grid.n_points == 256
+        assert len(grid.points) == 256
         xs = np.unique(grid.points[:, 0])
         np.testing.assert_allclose(xs, np.arange(16) + 0.5)
 
@@ -96,6 +96,18 @@ class TestIcmForward:
     def make(self, channels=3, n_terms=1, s=2, seed=4):
         return icm.IcmWeights.init(channels, n_terms, s, SplitMix64(seed))
 
+    def test_head_drawn_first_as_an_scm_head(self):
+        weights = self.make(channels=3, n_terms=2, s=2, seed=19)
+        head = scm.ScmWeights.init(3, 2, SplitMix64(19))
+        for name, param in head.parameters("icm").items():
+            np.testing.assert_array_equal(weights.parameters()[name].data, param.data)
+
+    def test_encode_reads_grid_side_from_corr_proj(self):
+        weights = self.make(channels=3, s=2, seed=20)
+        features = ad.Tensor(SplitMix64(21).uniform_array((4, 6, 3), -1, 1))
+        want = icm.icm_forward(features, weights, icm.make_reference_grid(4, 6, 2))
+        np.testing.assert_array_equal(weights.encode(features).data, want.data)
+
     def test_zero_corr_proj_leaves_pure_projection(self):
         weights = self.make()
         weights.corr_proj.data[...] = 0.0
@@ -147,7 +159,7 @@ class TestIcmForward:
         weights = self.make(channels=2, n_terms=1, s=2, seed=15)
         features = ad.Tensor(SplitMix64(16).uniform_array((3, 4, 2), -1, 1))
         refs = icm.make_reference_grid(3, 4, 2)
-        probe = getattr(weights, name)
+        probe = weights.parameters()[f"icm.{name}"]
 
         def forward(_):
             return ad.mul(icm.icm_forward(features, weights, refs), 0.5).sum()

@@ -116,6 +116,21 @@ class TestHeads:
         params = list(model.parameters().values())
         assert len({id(p) for p in params}) == len(params)
 
+    def test_icm_parameter_names_order_and_seeding(self):
+        # Checkpoint entry names and the optimizer's parameter order both
+        # come from this dict, so the ICM entries must not move.
+        params = PanopticModel(ModelConfig(use_icm=True), SplitMix64(7)).parameters()
+        icm_names = [name for name in params if name.startswith("icm.")]
+        assert icm_names == [
+            "icm.pre_conv", "icm.pre_bias", "icm.hor_head", "icm.hor_bias",
+            "icm.ver_head", "icm.ver_bias", "icm.feat_proj", "icm.corr_proj",
+        ]
+        assert list(params)[-len(icm_names):] == icm_names
+        twin = PanopticModel(ModelConfig(use_icm=True), SplitMix64(7)).parameters()
+        assert list(twin) == list(params)
+        for name, param in params.items():
+            np.testing.assert_array_equal(twin[name].data, param.data)
+
 
 class TestDecode:
     def cfg(self):

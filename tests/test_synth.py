@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrseg import synth
 from corrseg.errors import DataFormatError
@@ -7,6 +12,9 @@ from corrseg.errors import DataFormatError
 
 def make_cfg(**kw):
     return synth.SceneConfig(**kw)
+
+
+SMALL_SCENE = synth.generate_scene(make_cfg(height=16, width=16, min_things=2, seed=34))
 
 
 class TestGeneration:
@@ -148,6 +156,59 @@ class TestScenePersistence:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="manifest missing"):
             synth.load_scene(tmp_path)
+
+    def saved(self, tmp_path):
+        scene = synth.generate_scene(make_cfg(twin_mode=True, seed=33))
+        directory = tmp_path / "s"
+        synth.save_scene(scene, directory)
+        return directory
+
+    @pytest.mark.parametrize("categories", ["0,3", "0,-1", "0,x"])
+    def test_instance_category_out_of_range_rejected(self, tmp_path, categories):
+        directory = self.saved(tmp_path)
+        meta = directory / "scene.meta"
+        lines = [f"categories={categories}" if line.startswith("categories=") else line
+                 for line in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"{meta}: instance category"):
+            synth.load_scene(directory)
+
+    def test_semantic_id_out_of_range_rejected(self, tmp_path):
+        directory = self.saved(tmp_path)
+        path = directory / "semantic.pgm"
+        semantic = synth.load_pgm(path)
+        semantic[0, 0] = synth.THING_CLASSES + synth.STUFF_CLASSES
+        synth.save_pgm(path, semantic)
+        with pytest.raises(DataFormatError, match=f"{path}: semantic id 6"):
+            synth.load_scene(directory)
+
+    @pytest.mark.parametrize("name", ["semantic.pgm", "inst_1.pgm"])
+    def test_plane_size_mismatch_rejected(self, tmp_path, name):
+        directory = self.saved(tmp_path)
+        path = directory / name
+        synth.save_pgm(path, synth.load_pgm(path)[:, :-4])
+        with pytest.raises(DataFormatError, match=f"{path}: size"):
+            synth.load_scene(directory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["scene.meta", "image.ppm", "semantic.pgm", "inst_0.pgm"]),
+           flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    def test_corrupted_bytes_load_or_raise_data_format_error(self, name, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp) / "s"
+            synth.save_scene(SMALL_SCENE, directory)
+            path = directory / name
+            data = bytearray(path.read_bytes())
+            for position, mask in flips:
+                data[position % len(data)] ^= mask
+            path.write_bytes(bytes(data))
+            try:
+                scene = synth.load_scene(directory)
+            except DataFormatError:
+                return
+            assert scene.semantic.shape == scene.image.shape[:2]
+            assert all(0 <= c < synth.THING_CLASSES for _, c in scene.instances)
 
     def test_malformed_manifest_line_rejected(self, tmp_path):
         d = tmp_path / "s"
