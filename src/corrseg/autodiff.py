@@ -479,24 +479,13 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
-def _im2col_same(x: np.ndarray, k: int) -> np.ndarray:
-    h, w, c = x.shape
-    p = (k - 1) // 2
-    xp = np.pad(x, ((p, p), (p, p), (0, 0)))
-    cols = np.empty((h, w, k * k * c), dtype=x.dtype)
-    i = 0
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, :, i * c:(i + 1) * c] = xp[dy:dy + h, dx:dx + w, :]
-            i += 1
-    return cols
+def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
+    """Same-padded cross-correlation, sampled every `stride` pixels.
 
-
-def conv2d(x: TensorLike, kernel: TensorLike) -> Tensor:
-    """Same-padded stride-1 cross-correlation.
-
-    x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3}.
-    Output (H, W, C_out), differentiable w.r.t. both arguments.
+    x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3}; stride >= 1.
+    Output (ceil(H/stride), ceil(W/stride), C_out): the stride-1 output
+    at rows and columns 0, stride, 2*stride, ..., computed only there.
+    Differentiable w.r.t. both arguments.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -510,25 +499,28 @@ def conv2d(x: TensorLike, kernel: TensorLike) -> Tensor:
         )
     h, w, c_in = x.shape
     c_out = kernel.shape[3]
-    cols = _im2col_same(x.data, k)
-    flat = cols.reshape(h * w, k * k * c_in)
+    p = (k - 1) // 2
+    xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
+    # im2col: windows (ho, wo, c_in, k, k) -> rows in the kernel's (dy, dx, c) order.
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
+    windows = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
+    ho, wo = windows.shape[:2]
+    flat = windows.reshape(ho * wo, k * k * c_in)
     kflat = kernel.data.reshape(k * k * c_in, c_out)
-    out_data = (flat @ kflat).reshape(h, w, c_out)
+    out_data = (flat @ kflat).reshape(ho, wo, c_out)
 
     def grad_fn(g):
-        gflat = g.reshape(h * w, c_out)
+        gflat = g.reshape(ho * wo, c_out)
         if kernel.requires_grad:
             kernel._accum((flat.T @ gflat).reshape(kernel.shape))
         if x.requires_grad:
-            dcols = (gflat @ kflat.T).reshape(h, w, k, k, c_in)
-            p = (k - 1) // 2
-            dxp = np.zeros((h + 2 * p, w + 2 * p, c_in), dtype=g.dtype)
-            i = 0
+            dcols = (gflat @ kflat.T).reshape(ho, wo, k, k, c_in)
+            dxp = np.zeros((h + 2 * p, w + 2 * p, c_in))
             for dy in range(k):
                 for dx in range(k):
-                    dxp[dy:dy + h, dx:dx + w, :] += dcols[:, :, dy, dx, :]
-                    i += 1
-            x._accum(dxp[p:p + h, p:p + w, :] if p else dxp)
+                    rows = slice(dy, dy + stride * ho, stride)
+                    dxp[rows, dx:dx + stride * wo:stride] += dcols[:, :, dy, dx]
+            x._accum(dxp[p:p + h, p:p + w])
 
     return _make(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
 

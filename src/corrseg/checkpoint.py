@@ -176,4 +176,6 @@ def load_model_state(model: PanopticModel, arrays: Dict[str, np.ndarray],
                 f"{source}: parameter {name!r} has shape {stored.shape}, "
                 f"expected {param.data.shape}"
             )
+        if not np.isfinite(stored).all():
+            raise DataFormatError(f"{source}: parameter {name!r} has non-finite values")
         param.data[...] = stored

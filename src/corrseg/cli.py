@@ -203,6 +203,8 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise DataFormatError(f"{path}: cannot read config: {exc}") from exc
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: config is not UTF-8") from None
         for key, raw in parse_keyvalue(text, str(path)).items():
             if key == "command":
                 continue

@@ -158,10 +158,8 @@ class PanopticModel:
         h, w = image.shape[0], image.shape[1]
         if h % STRIDE or w % STRIDE:
             raise ShapeError(f"image dims must be divisible by {STRIDE}, got {h}x{w}")
-        x = ad.relu(ad.conv2d(image, self.stem1) + self.stem1_bias)
-        x = x[::2, ::2, :]
-        x = ad.relu(ad.conv2d(x, self.stem2) + self.stem2_bias)
-        return x[::2, ::2, :]
+        x = ad.relu(ad.conv2d(image, self.stem1, stride=2) + self.stem1_bias)
+        return ad.relu(ad.conv2d(x, self.stem2, stride=2) + self.stem2_bias)
 
     def semantic_logits(self, features: Tensor) -> Tensor:
         x = features

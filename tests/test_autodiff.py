@@ -186,6 +186,38 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel mismatch"):
             ad.conv2d(x, ad.Tensor(np.zeros((3, 3, 7, 2))))
 
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7)])
+    def test_stride2_is_stride1_sampled(self, ksize, hw):
+        x = ad.Tensor(rand(hw + (3,), seed=31))
+        k = ad.Tensor(rand((ksize, ksize, 3, 4), seed=32))
+        out = ad.conv2d(x, k, stride=2).data
+        assert out.shape == ((hw[0] + 1) // 2, (hw[1] + 1) // 2, 4)
+        assert np.array_equal(out, ad.conv2d(x, k).data[::2, ::2])
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    def test_fd_both_arguments_stride2(self, ksize):
+        x = ad.Tensor(rand((5, 6, 2), seed=33))
+        k = ad.Tensor(rand((ksize, ksize, 2, 3), seed=34))
+        assert ad.check_gradients(
+            lambda t: ad.conv2d(t, ad.Tensor(k.data), stride=2).sum(), x) < TOL
+        assert ad.check_gradients(
+            lambda t: ad.conv2d(ad.Tensor(x.data), t, stride=2).sum(), k) < TOL
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7)])
+    def test_stride2_grads_match_conv_then_slice(self, ksize, hw):
+        weights = rand(((hw[0] + 1) // 2, (hw[1] + 1) // 2, 4), seed=35)
+        grads = []
+        for strided in (True, False):
+            x = ad.Tensor(rand(hw + (3,), seed=36), requires_grad=True)
+            k = ad.Tensor(rand((ksize, ksize, 3, 4), seed=37), requires_grad=True)
+            out = ad.conv2d(x, k, stride=2) if strided else ad.conv2d(x, k)[::2, ::2]
+            (out * weights).sum().backward()
+            grads.append((x.grad, k.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
 
 class TestBackwardSemantics:
     def test_backward_rejects_nonscalar(self):

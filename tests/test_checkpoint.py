@@ -195,6 +195,34 @@ class TestConfigGuard:
         with pytest.raises(DataFormatError, match="shape"):
             load_model_state(model, state)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        model = small_model(seed=6)
+        state = model_state(model)
+        state["sem_conv2"][0, 1, 2, 3] = bad
+        with pytest.raises(DataFormatError, match="'sem_conv2' has non-finite"):
+            load_model_state(model, state, "test")
+
+    def test_non_finite_parameter_makes_eval_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--count", "1",
+                     "--seed", "0"]) == 0
+        state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
+        state["stem1"][1, 1, 0, 0] = np.nan
+        checkpoint = tmp_path / "nan.bin"
+        save_checkpoint(checkpoint, state)
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: ")
+        assert "'stem1'" in err
+
+    def test_committed_benchmark_fixture_loads(self):
+        fixture = Path(__file__).parents[1] / "perfbench" / "fixtures" / "eval_scm_icm.bin"
+        model = PanopticModel(ModelConfig(use_scm=True, use_icm=True), SplitMix64(0))
+        load_model_state(model, load_checkpoint(fixture), str(fixture))
+
     def test_scm_mode_encoded(self):
         entries = config_entries(ModelConfig(scm_mode="global"))
         assert float(entries["config.scm_mode"]) == 0.0

@@ -145,6 +145,13 @@ class TestConfigMerging:
                      "--out", str(tmp_path / "o"),
                      "--count", "0", "--seed", "1"]) == 3
 
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"height=\xff32\n")
+        assert main(["gen", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--count", "0", "--seed", "1"]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: config is not UTF-8\n"
+
     def test_bad_number_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("epochs=soon\n")

@@ -70,6 +70,15 @@ class TestBackbone:
         with pytest.raises(ShapeError):
             model.backbone(Tensor(np.zeros((18, 16, 3))))
 
+    def test_matches_full_resolution_convs_then_slices(self):
+        # The strided stems compute exactly the pixels the full-resolution
+        # convolutions would keep after subsampling.
+        model = PanopticModel(tiny_cfg(), SplitMix64(2))
+        image = random_image(24, 16, seed=3)
+        x = ad.relu(ad.conv2d(image, model.stem1) + model.stem1_bias)[::2, ::2, :]
+        x = ad.relu(ad.conv2d(x, model.stem2) + model.stem2_bias)[::2, ::2, :]
+        assert np.array_equal(model.backbone(image).data, x.data)
+
 
 class TestHeads:
     def test_semantic_logits_shape(self):

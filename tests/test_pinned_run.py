@@ -1,0 +1,38 @@
+"""A fixed tiny training run whose per-epoch losses are pinned.
+
+Changes meant to leave results unchanged (performance work, refactors)
+must keep these losses, recorded at full precision.  The 1e-12 relative
+tolerance admits a change that only reorders floating-point sums (a
+few ulps) and nothing more.  A change that moves them on purpose
+re-records them and says why.
+"""
+
+import numpy as np
+
+from corrseg.cli import main
+
+SMALL = "height=32\nwidth=32\nchannels=4\nn_fourier=2\ns_ref=2\ngrid_size=2\n"
+
+PINNED_LOSSES = (
+    2.8044114369531314,
+    2.7908960469377466,
+    2.7688753919492033,
+    2.7503857074664357,
+)
+
+
+def test_scm_icm_losses_are_pinned(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL)
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen", "--config", str(cfg), "--out", str(data),
+                 "--count", "6", "--seed", "7"]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(run), "--use-scm", "--use-icm",
+                 "--epochs", "4", "--lr", "0.01"]) == 0
+    lines = (run / "losses.csv").read_text().splitlines()
+    assert lines[0] == "epoch,loss"
+    epochs = [int(line.split(",")[0]) for line in lines[1:]]
+    losses = [float(line.split(",")[1]) for line in lines[1:]]
+    assert epochs == list(range(len(PINNED_LOSSES)))
+    np.testing.assert_allclose(losses, PINNED_LOSSES, rtol=1e-12, atol=0)
