@@ -317,6 +317,15 @@ def sin(a: TensorLike) -> Tensor:
     return _make(np.sin(a.data), (a,), grad_fn, a.requires_grad)
 
 
+def cos(a: TensorLike) -> Tensor:
+    a = as_tensor(a)
+
+    def grad_fn(g):
+        a._accum(-g * np.sin(a.data))
+
+    return _make(np.cos(a.data), (a,), grad_fn, a.requires_grad)
+
+
 def exp(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -365,7 +374,7 @@ def sigmoid(a: TensorLike) -> Tensor:
     return _make(out_data, (a,), grad_fn, a.requires_grad)
 
 
-# -- reductions and softmax ---------------------------------------------------
+# -- reductions and log-softmax -----------------------------------------------
 
 
 def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
@@ -376,20 +385,6 @@ def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.shape))
-
-    return _make(out_data, (a,), grad_fn, a.requires_grad)
-
-
-def softmax(a: TensorLike, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, computed with max-subtraction for stability."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accum(out_data * (g - dot))
 
     return _make(out_data, (a,), grad_fn, a.requires_grad)
 
@@ -458,13 +453,17 @@ def concat(tensors: Iterable[TensorLike], axis: int = -1) -> Tensor:
     )
 
 
+def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ShapeError(f"{op} expects matching 2d/3d ranks, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"{op} shapes incompatible: {a.shape} @ {b.shape}")
+
+
 def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     """Matrix product of two 2-d tensors or batched 3-d tensors."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects matching 2d/3d ranks, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
+    _check_matmul(a, b, "matmul")
 
     def grad_fn(g):
         if a.requires_grad:
@@ -474,6 +473,34 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
 
     return _make(np.matmul(a.data, b.data), (a, b), grad_fn,
                  a.requires_grad or b.requires_grad)
+
+
+def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
+    """``softmax(logits, axis=-1) @ values`` as one graph node.
+
+    2-d or batched 3-d operands, as for :func:`matmul`.  The softmax uses
+    max-subtraction for stability, and the node keeps only its weights
+    P.  With G the output gradient: dvalues = P^T G and
+    dlogits = P * (G values^T - rowsum(G * out)).
+    """
+    logits, values = as_tensor(logits), as_tensor(values)
+    _check_matmul(logits, values, "softmax_matmul")
+    p = logits.data - logits.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = np.matmul(p, values.data)
+
+    def grad_fn(g):
+        if values.requires_grad:
+            values._accum(np.matmul(p.swapaxes(-1, -2), g))
+        if logits.requires_grad:
+            dlogits = np.matmul(g, values.data.swapaxes(-1, -2))
+            dlogits -= (g * out_data).sum(axis=-1, keepdims=True)
+            dlogits *= p
+            logits._accum(dlogits)
+
+    return _make(out_data, (logits, values), grad_fn,
+                 logits.requires_grad or values.requires_grad)
 
 
 # -- convolution ---------------------------------------------------------------

@@ -8,6 +8,12 @@ represents it well:
 
     G(j) = a0 + sum_n  A_n * sin(n * (pi / L) * j + psi_n),   n = 1..N
 
+Since A sin(x + psi) = (A cos psi) sin x + (A sin psi) cos x, the
+differentiable path evaluates this as a0 + [A cos psi | A sin psi] @ B,
+where B is the constant (2N, M) basis of sin(n (pi / L) j) and
+cos(n (pi / L) j) over the M sample positions: transcendentals run per
+location and harmonic, not per sample.
+
 The 2D form is separable: a product of an independent horizontal and
 vertical 1D function per location.  This keeps opposite row ends
 decoupled, which a flattened 1D parameterization over row-major indices
@@ -169,16 +175,19 @@ def corr_profile(theta: Tensor, coords, length: int) -> Tensor:
     """Differentiable profile evaluation for packed parameters.
 
     theta: (..., 2N+1) with layout [a0, A_1..A_N, psi_1..psi_N];
-    coords: M sample positions (array or Tensor).  Returns (..., M).
+    coords: M sample positions, a plain array.  Returns (..., M) as
+    a0 + [A cos psi | A sin psi] @ B with the constant (2N, M) basis
+    B = [sin(n w j); cos(n w j)], w = pi / length.
     """
     theta = ad.as_tensor(theta)
     n = n_terms_from_channels(theta.shape[-1])
     lead = theta.shape[:-1]
-    coords_t = coords if isinstance(coords, Tensor) else Tensor(np.asarray(coords, dtype=float))
-    a0 = theta[..., 0:1]
-    amps = ad.reshape(theta[..., 1:n + 1], lead + (n, 1))
-    phases = ad.reshape(theta[..., n + 1:], lead + (n, 1))
-    freqs = Tensor((np.arange(1, n + 1) * (np.pi / length)).reshape(n, 1))
-    args = ad.add(ad.mul(freqs, coords_t), phases)
-    waves = ad.mul(ad.sin(args), amps)
-    return ad.add(ad.tsum(waves, axis=-2), a0)
+    coords = np.asarray(coords, dtype=float).reshape(-1)
+    args = np.multiply.outer(np.arange(1, n + 1) * (np.pi / length), coords)
+    basis = Tensor(np.concatenate([np.sin(args), np.cos(args)]))
+    amps, phases = theta[..., 1:n + 1], theta[..., n + 1:]
+    coeffs = ad.concat([ad.mul(amps, ad.cos(phases)), ad.mul(amps, ad.sin(phases))])
+    rows = int(np.prod(lead))  # reshape(-1, 0) is ambiguous when N == 0
+    waves = ad.reshape(ad.matmul(ad.reshape(coeffs, (rows, 2 * n)), basis),
+                       lead + (coords.size,))
+    return ad.add(waves, theta[..., 0:1])

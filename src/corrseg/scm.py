@@ -10,6 +10,10 @@ attention.  Two aggregation modes:
 - axial (default): independent softmaxes along the row and the column of
   each location, summed, cost O(HW (H+W) C).
 
+Each softmax and the weighted sum it feeds are one graph node,
+``autodiff.softmax_matmul``, which keeps only the softmax weights for
+the backward pass.
+
 Counting only the weighted feature sums, the dominant term of each mode,
 one aggregation takes exactly (HW)^2 C (global) or HW (H+W) C (axial)
 multiply-accumulates.
@@ -93,11 +97,10 @@ def aggregate_global(features: Tensor, field: CorrParamField) -> Tensor:
     _require_matching(features, field)
     h, w, c = features.shape
     hor, ver = _profiles(field, h, w)
-    cor2d = ad.mul(
-        ad.reshape(ver, (h, w, h, 1)), ad.reshape(hor, (h, w, 1, w))
-    )
-    weights = ad.softmax(ad.reshape(cor2d, (h * w, h * w)), axis=-1)
-    out = weights @ ad.reshape(features, (h * w, c))
+    # Per location, the outer product of its column and row profiles.
+    cor2d = ad.reshape(ver, (h * w, h, 1)) @ ad.reshape(hor, (h * w, 1, w))
+    out = ad.softmax_matmul(ad.reshape(cor2d, (h * w, h * w)),
+                            ad.reshape(features, (h * w, c)))
     return ad.reshape(out, (h, w, c))
 
 
@@ -106,11 +109,10 @@ def axial_terms(features: Tensor, field: CorrParamField):
     _require_matching(features, field)
     h, w = features.shape[0], features.shape[1]
     hor, ver = _profiles(field, h, w)
-    row_w = ad.softmax(hor, axis=-1)
-    row_term = row_w @ features  # (H,W,W) @ (H,W,C)
-    col_w = ad.transpose(ad.softmax(ver, axis=-1), (1, 0, 2))  # (W,H,H)
+    row_term = ad.softmax_matmul(hor, features)  # (H,W,W) @ (H,W,C)
+    col_logits = ad.transpose(ver, (1, 0, 2))  # (W,H,H)
     col_feats = ad.transpose(features, (1, 0, 2))  # (W,H,C)
-    col_term = ad.transpose(col_w @ col_feats, (1, 0, 2))
+    col_term = ad.transpose(ad.softmax_matmul(col_logits, col_feats), (1, 0, 2))
     return row_term, col_term
 
 

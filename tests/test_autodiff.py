@@ -22,7 +22,7 @@ class TestElementwise:
         err = ad.check_gradients(lambda t: op(t, b).sum(), x)
         assert err < TOL
 
-    @pytest.mark.parametrize("op", [ad.sin, ad.exp, ad.relu, ad.sigmoid])
+    @pytest.mark.parametrize("op", [ad.sin, ad.cos, ad.exp, ad.relu, ad.sigmoid])
     def test_unary_fd(self, op):
         x = ad.Tensor(rand((5, 3), seed=3) + 0.05)  # keep relu off its kink
         err = ad.check_gradients(lambda t: op(t).sum(), x)
@@ -81,19 +81,21 @@ class TestReductionsAndSoftmax:
 
     def test_softmax_rows_sum_to_one(self):
         x = ad.Tensor(rand((6, 9), seed=9, lo=-30, hi=30))
-        s = ad.softmax(x, axis=-1)
+        s = ad.softmax_matmul(x, np.eye(9))
         np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_stable_for_large_logits(self):
         x = ad.Tensor(np.array([[1000.0, 1000.0, -1000.0]]))
-        s = ad.softmax(x).data
+        s = ad.softmax_matmul(x, np.eye(3)).data
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s[0, :2], 0.5, atol=1e-12)
 
     def test_softmax_fd(self):
         x = ad.Tensor(rand((4, 5), seed=10))
         w = ad.Tensor(rand((4, 5), seed=11))
-        err = ad.check_gradients(lambda t: ad.mul(ad.softmax(t, axis=1), w).sum(), x)
+        err = ad.check_gradients(
+            lambda t: ad.mul(ad.softmax_matmul(t, np.eye(5)), w).sum(), x
+        )
         assert err < TOL
 
     def test_log_softmax_fd(self):
@@ -151,6 +153,50 @@ class TestStructural:
             ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3, 4))))
+
+
+SOFTMAX_MATMUL_SHAPES = {"2d": ((4, 5), (5, 3)), "3d": ((2, 3, 4), (2, 4, 3))}
+
+
+def softmax_then_matmul(logits, values):
+    """The unfused composition from elementwise graph ops and matmul."""
+    peak = ad.Tensor(logits.data.max(axis=-1, keepdims=True))
+    e = ad.exp(logits - peak)
+    return ad.matmul(ad.div(e, ad.tsum(e, axis=-1, keepdims=True)), values)
+
+
+class TestSoftmaxMatmul:
+    @pytest.mark.parametrize("rank", sorted(SOFTMAX_MATMUL_SHAPES))
+    def test_fd_both_arguments(self, rank):
+        l_shape, v_shape = SOFTMAX_MATMUL_SHAPES[rank]
+        logits = ad.Tensor(rand(l_shape, seed=40))
+        values = ad.Tensor(rand(v_shape, seed=41))
+        w = ad.Tensor(rand(l_shape[:-1] + v_shape[-1:], seed=42))
+        fixed_logits, fixed_values = ad.Tensor(logits.data), ad.Tensor(values.data)
+        assert ad.check_gradients(
+            lambda t: ad.mul(ad.softmax_matmul(t, fixed_values), w).sum(), logits) < TOL
+        assert ad.check_gradients(
+            lambda t: ad.mul(ad.softmax_matmul(fixed_logits, t), w).sum(), values) < TOL
+
+    @pytest.mark.parametrize("rank", sorted(SOFTMAX_MATMUL_SHAPES))
+    def test_matches_softmax_then_matmul(self, rank):
+        l_shape, v_shape = SOFTMAX_MATMUL_SHAPES[rank]
+        w = rand(l_shape[:-1] + v_shape[-1:], seed=45)
+        results = []
+        for fn in (ad.softmax_matmul, softmax_then_matmul):
+            logits = ad.Tensor(rand(l_shape, seed=43, lo=-5, hi=5), requires_grad=True)
+            values = ad.Tensor(rand(v_shape, seed=44), requires_grad=True)
+            out = fn(logits, values)
+            ad.mul(out, w).sum().backward()
+            results.append((out.data, logits.grad, values.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ad.softmax_matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
+        with pytest.raises(ShapeError):
+            ad.softmax_matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3, 4))))
 
 
 class TestConv2d:
@@ -287,7 +333,7 @@ def test_composite_program_grad_property(h, w, c, seed):
     def prog(t):
         z = ad.relu(t) + ad.sin(t)
         z = ad.reshape(z, (h * w, c)) @ m
-        return ad.mul(ad.softmax(z, axis=-1), 0.7).sum() + ad.sigmoid(z).sum()
+        return ad.mul(ad.softmax_matmul(z, np.eye(c)), 0.7).sum() + ad.sigmoid(z).sum()
 
     assert ad.check_gradients(prog, x) < 1e-5
 

@@ -174,3 +174,18 @@ class TestIcmForward:
             lambda t: icm.icm_forward(t, weights, refs).sum(), features
         )
         assert err < 1e-4
+
+    def test_identical_interior_patches_encode_identically(self):
+        # Pins a known limitation: away from the zero-padded border the
+        # encoder is translation-equivariant, and it evaluates each
+        # location's correlation functions at absolute reference points,
+        # so two copies of one patch get the same output at their centres.
+        # A change that gives ICM a position signal flips this on purpose.
+        weights = self.make(channels=16, n_terms=3, s=2, seed=22)
+        patch = SplitMix64(23).uniform_array((5, 5, 16), -1, 1)
+        features = np.zeros((16, 16, 16))
+        features[2:7, 2:7] = patch
+        features[8:13, 9:14] = patch
+        out = weights.encode(ad.Tensor(features)).data
+        assert np.all(out[4, 4] != 0.0)
+        np.testing.assert_array_equal(out[4, 4], out[10, 11])

@@ -1,4 +1,4 @@
-"""A fixed tiny training run whose per-epoch losses are pinned.
+"""Fixed tiny training runs whose per-epoch losses are pinned.
 
 Changes meant to leave results unchanged (performance work, refactors)
 must keep these losses, recorded at full precision.  The 1e-12 relative
@@ -20,19 +20,36 @@ PINNED_LOSSES = (
     2.7503857074664357,
 )
 
+PINNED_GLOBAL_LOSSES = (
+    2.804419582682897,
+    2.790935234262296,
+    2.7689126512001487,
+    2.750383413303963,
+)
 
-def test_scm_icm_losses_are_pinned(tmp_path):
+
+def _train_losses(tmp_path, *flags):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL)
     data, run = tmp_path / "data", tmp_path / "run"
     assert main(["gen", "--config", str(cfg), "--out", str(data),
                  "--count", "6", "--seed", "7"]) == 0
     assert main(["train", "--config", str(cfg), "--data", str(data),
-                 "--out", str(run), "--use-scm", "--use-icm",
+                 "--out", str(run), "--use-scm", "--use-icm", *flags,
                  "--epochs", "4", "--lr", "0.01"]) == 0
     lines = (run / "losses.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss"
     epochs = [int(line.split(",")[0]) for line in lines[1:]]
     losses = [float(line.split(",")[1]) for line in lines[1:]]
-    assert epochs == list(range(len(PINNED_LOSSES)))
+    assert epochs == list(range(len(losses)))
+    return losses
+
+
+def test_scm_icm_losses_are_pinned(tmp_path):
+    losses = _train_losses(tmp_path)
     np.testing.assert_allclose(losses, PINNED_LOSSES, rtol=1e-12, atol=0)
+
+
+def test_global_scm_icm_losses_are_pinned(tmp_path):
+    losses = _train_losses(tmp_path, "--scm-mode", "global")
+    np.testing.assert_allclose(losses, PINNED_GLOBAL_LOSSES, rtol=1e-12, atol=0)
