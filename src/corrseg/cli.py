@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import corrfn
 from . import icm as icm_mod
 from . import scm as scm_mod
 from .ablation import make_twin_dataset, report_row, run_ablation, write_report
@@ -32,6 +31,7 @@ from .checkpoint import (
     model_state,
     save_checkpoint,
 )
+from .corrfn import corr_profile
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .metrics import PqAccumulator
 from .model import InstancePrediction, ModelConfig, PanopticModel
@@ -447,13 +447,15 @@ def cmd_viz(merged: Dict[str, object]) -> int:
                 )
             field = icm_mod.predict_params(features, encoder)
 
-    height, width = features.shape[0], features.shape[1]
-    if not (0 <= x < width and 0 <= y < height):
-        raise ConfigError(
-            f"point {x},{y} is outside the {width}x{height} feature map"
-        )
-    theta = corrfn.theta_at(field, y, x)
-    corr_map = corrfn.correlation_map(theta, height, width)
+        height, width = features.shape[0], features.shape[1]
+        if not (0 <= x < width and 0 <= y < height):
+            raise ConfigError(
+                f"point {x},{y} is outside the {width}x{height} feature map"
+            )
+        hor = corr_profile(field.hor[y, x], np.arange(width), width).data
+        ver = corr_profile(field.ver[y, x], np.arange(height), height).data
+
+    corr_map = np.multiply.outer(ver, hor)
     lo = float(corr_map.min())
     hi = float(corr_map.max())
     if hi > lo:
@@ -473,12 +475,7 @@ def cmd_viz(merged: Dict[str, object]) -> int:
         "\n".join(f"{key}={value}" for key, value in sidecar) + "\n",
         encoding="utf-8",
     )
-    theta_hor, theta_ver = theta
-    for name, params, length in (
-        ("profile_hor.csv", theta_hor, width),
-        ("profile_ver.csv", theta_ver, height),
-    ):
-        values = corrfn.eval_corr_1d(params, np.arange(length), length)
+    for name, values in (("profile_hor.csv", hor), ("profile_ver.csv", ver)):
         with (out / name).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("position", "value"))

@@ -1,0 +1,61 @@
+"""Independent numpy oracles for the correlation profile.
+
+`corrseg.corrfn.corr_profile` is the package's one correlation
+evaluator: a fixed-basis matmul over packed parameters
+[a0, A_1..A_N, psi_1..psi_N].  These helpers share no code with it.
+`fit_dft` goes through `np.fft` and returns that packed layout, so a fit
+feeds straight into `corr_profile`; `per_harmonic_profile` evaluates
+one sine per term.
+"""
+
+import numpy as np
+
+from corrseg.errors import ShapeError
+
+
+def mirror_extend(c):
+    """[a, b, c] -> [a, b, c, c, b, a]; continuous at the seam, period 2L."""
+    values = np.asarray(c, dtype=float).reshape(-1)
+    if values.size < 1:
+        raise ShapeError("cannot mirror-extend an empty sequence")
+    return np.concatenate([values, values[::-1]])
+
+
+def fit_dft(t, n_terms):
+    """Packed amplitude/phase form of the lowest `n_terms` harmonics of `t`.
+
+    `t` has even length 2L (a mirror-extended sequence, typically).  The
+    constant term is the mean; harmonic n gets amplitude 2|X_n|/(2L) and
+    phase arg(X_n) + pi/2, so that A*sin(n*(pi/L)*j + psi) reproduces the
+    real inverse-transform term.  The Nyquist harmonic (n == L) is not
+    doubled.  With n_terms == L the reconstruction at integer j is exact.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if t.size < 2 or t.size % 2 != 0:
+        raise ShapeError(f"expected an even-length extended sequence, got length {t.size}")
+    m = t.size
+    half = m // 2
+    if not 0 <= n_terms <= half:
+        raise ValueError(f"n_terms must be in [0, {half}] for length {m}, got {n_terms}")
+    spectrum = np.fft.rfft(t)
+    bins = spectrum[1:n_terms + 1]
+    amps = 2.0 * np.abs(bins) / m
+    if n_terms == half:
+        amps[-1] *= 0.5
+    phases = np.angle(bins) + np.pi / 2.0
+    return np.concatenate(([spectrum[0].real / m], amps, phases))
+
+
+def per_harmonic_profile(theta, coords, length):
+    """a0 + sum_n A_n sin(n (pi / length) j + psi_n), one sin per term.
+
+    theta: (..., 2N+1) packed parameters; returns (..., len(coords)).
+    """
+    theta = np.asarray(theta, dtype=float)
+    coords = np.asarray(coords, dtype=float).reshape(-1)
+    n = (theta.shape[-1] - 1) // 2
+    out = np.repeat(theta[..., 0:1], coords.size, axis=-1)
+    for k in range(1, n + 1):
+        args = k * (np.pi / length) * coords + theta[..., n + k:n + k + 1]
+        out = out + theta[..., k:k + 1] * np.sin(args)
+    return out

@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 import corrseg
+from corrseg import icm
+from corrseg.autodiff import no_grad
+from corrseg.checkpoint import load_checkpoint, load_model_state
 from corrseg.cli import main
-from corrseg.synth import load_pgm, parse_keyvalue
+from corrseg.model import ModelConfig, PanopticModel
+from corrseg.rng import SplitMix64
+from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir
+from corrseg.train import scene_image
+from oracles import per_harmonic_profile
 
 SMALL = "height=32\nwidth=32\nchannels=4\nn_fourier=2\ns_ref=2\ngrid_size=2\n"
 
@@ -363,6 +370,30 @@ class TestViz:
         assert hor[0] == "position,value"
         assert len(hor) == 9 and len(ver) == 9
         assert [line.split(",")[0] for line in hor[1:]] == [str(i) for i in range(8)]
+
+    def test_values_match_checkpoint_oracle(self, icm_run, dataset, tmp_path):
+        _, run = icm_run
+        out = tmp_path / "v"
+        assert self.viz(icm_run, dataset, out, ["--point", "3,5"]) == 0
+        # Rebuild the ICM parameters at (x, y) = (3, 5) from the checkpoint.
+        cfg = ModelConfig(channels=4, n_fourier=2, s_ref=2, grid_size=2, use_icm=True)
+        model = PanopticModel(cfg, SplitMix64(0))
+        load_model_state(model, load_checkpoint(run / "checkpoint.bin"))
+        with no_grad():
+            features = model.backbone(scene_image(load_scene(scene_dir(dataset, 7))))
+            field = icm.predict_params(features, model.instance_encoder)
+        profiles = {}
+        for axis, packed in (("hor", field.hor.data[5, 3]), ("ver", field.ver.data[5, 3])):
+            lines = (out / f"profile_{axis}.csv").read_text().splitlines()[1:]
+            profiles[axis] = np.array([float(line.split(",")[1]) for line in lines])
+            want = per_harmonic_profile(packed, np.arange(8), 8)
+            np.testing.assert_allclose(profiles[axis], want, rtol=1e-12, atol=1e-12)
+        corr_map = np.multiply.outer(profiles["ver"], profiles["hor"])
+        meta = parse_keyvalue((out / "corr_map.meta").read_text())
+        lo, hi = float(meta["min"]), float(meta["max"])
+        assert (lo, hi) == (corr_map.min(), corr_map.max())
+        gray = np.rint((corr_map - lo) / (hi - lo) * 255.0)
+        np.testing.assert_array_equal(load_pgm(out / "corr_map.pgm"), gray)
 
     def test_seed_defaults_to_first_scene(self, icm_run, dataset, tmp_path):
         out = tmp_path / "v"

@@ -5,19 +5,35 @@ must keep these losses, recorded at full precision.  The 1e-12 relative
 tolerance admits a change that only reorders floating-point sums (a
 few ulps) and nothing more.  A change that moves them on purpose
 re-records them and says why.
+
+The losses barely see the SCM's own gradients: the heads dominate them,
+so a 1e-6 relative error in the SCM backward leaves all four unchanged.
+The SCM biases start at zero, so the L2 norm of each in the final
+checkpoint measures only what training added to it; those norms are
+pinned too.  They are tiny (1e-8 to 1e-6), so a reordered sum moves
+them by more ulps than it moves the losses, hence the 1e-9 tolerance.
 """
 
 import numpy as np
 
+from corrseg.checkpoint import load_checkpoint
 from corrseg.cli import main
 
 SMALL = "height=32\nwidth=32\nchannels=4\nn_fourier=2\ns_ref=2\ngrid_size=2\n"
+
+SCM_BIASES = ("scm.pre_bias", "scm.hor_bias", "scm.ver_bias")
 
 PINNED_LOSSES = (
     2.8044114369531314,
     2.7908960469377466,
     2.7688753919492033,
     2.7503857074664357,
+)
+
+PINNED_BIAS_NORMS = (
+    4.0501155256124706e-07,
+    1.9096078390171887e-07,
+    5.864997975554639e-07,
 )
 
 PINNED_GLOBAL_LOSSES = (
@@ -27,8 +43,15 @@ PINNED_GLOBAL_LOSSES = (
     2.750383413303963,
 )
 
+PINNED_GLOBAL_BIAS_NORMS = (
+    1.5848798987096436e-08,
+    1.2150392952161423e-08,
+    2.28580607814458e-08,
+)
 
-def _train_losses(tmp_path, *flags):
+
+def _train(tmp_path, *flags):
+    """Per-epoch losses and final SCM bias norms of the tiny SCM+ICM run."""
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL)
     data, run = tmp_path / "data", tmp_path / "run"
@@ -42,14 +65,17 @@ def _train_losses(tmp_path, *flags):
     epochs = [int(line.split(",")[0]) for line in lines[1:]]
     losses = [float(line.split(",")[1]) for line in lines[1:]]
     assert epochs == list(range(len(losses)))
-    return losses
+    arrays = load_checkpoint(run / "checkpoint.bin")
+    return losses, [np.linalg.norm(arrays[name]) for name in SCM_BIASES]
 
 
 def test_scm_icm_losses_are_pinned(tmp_path):
-    losses = _train_losses(tmp_path)
+    losses, norms = _train(tmp_path)
     np.testing.assert_allclose(losses, PINNED_LOSSES, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(norms, PINNED_BIAS_NORMS, rtol=1e-9, atol=0)
 
 
 def test_global_scm_icm_losses_are_pinned(tmp_path):
-    losses = _train_losses(tmp_path, "--scm-mode", "global")
+    losses, norms = _train(tmp_path, "--scm-mode", "global")
     np.testing.assert_allclose(losses, PINNED_GLOBAL_LOSSES, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(norms, PINNED_GLOBAL_BIAS_NORMS, rtol=1e-9, atol=0)

@@ -6,6 +6,7 @@ from corrseg import corrfn as cf
 from corrseg import scm
 from corrseg.errors import ShapeError
 from corrseg.rng import SplitMix64
+from oracles import per_harmonic_profile
 
 
 def rand_field(h, w, n_terms, seed, lo=-1.0, hi=1.0):
@@ -32,11 +33,9 @@ def global_oracle(features, field):
     out = np.zeros_like(features)
     for y in range(h):
         for x in range(w):
-            pair = cf.theta_at(field, y, x)
-            logits = np.array([
-                cf.eval_corr_2d(pair, (vx, vy), h, w)
-                for vy in range(h) for vx in range(w)
-            ])
+            hor = per_harmonic_profile(field.hor.data[y, x], np.arange(w), w)
+            ver = per_harmonic_profile(field.ver.data[y, x], np.arange(h), h)
+            logits = np.array([ver[vy] * hor[vx] for vy in range(h) for vx in range(w)])
             wts = np.exp(logits - logits.max())
             wts /= wts.sum()
             out[y, x] = wts @ features.reshape(h * w, c)
@@ -48,9 +47,8 @@ def axial_oracle(features, field):
     out = np.zeros_like(features)
     for y in range(h):
         for x in range(w):
-            hor, ver = cf.theta_at(field, y, x)
-            row_logits = cf.eval_corr_1d(hor, np.arange(w), w)
-            col_logits = cf.eval_corr_1d(ver, np.arange(h), h)
+            row_logits = per_harmonic_profile(field.hor.data[y, x], np.arange(w), w)
+            col_logits = per_harmonic_profile(field.ver.data[y, x], np.arange(h), h)
             rw = np.exp(row_logits - row_logits.max())
             rw /= rw.sum()
             cw = np.exp(col_logits - col_logits.max())
@@ -83,9 +81,9 @@ class TestPredictParams:
         base = ad.conv2d(features, weights.pre_conv).data + weights.pre_bias.data
         raw_hor = ad.conv2d(ad.Tensor(base), weights.hor_head).data + weights.hor_bias.data
         np.testing.assert_allclose(field.hor.data, raw_hor, atol=1e-12)
-        th, _ = cf.theta_at(field, 2, 1)
-        np.testing.assert_allclose(th.amplitudes, raw_hor[2, 1, 1:3], atol=1e-12)
-        np.testing.assert_allclose(th.phases, raw_hor[2, 1, 3:5], atol=1e-12)
+        packed = field.hor.data[2, 1]  # [a0, A_1, A_2, psi_1, psi_2]
+        np.testing.assert_allclose(packed[1:3], raw_hor[2, 1, 1:3], atol=1e-12)
+        np.testing.assert_allclose(packed[3:5], raw_hor[2, 1, 3:5], atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         weights = scm.ScmWeights.init(channels=3, n_terms=1, rng=SplitMix64(5))
