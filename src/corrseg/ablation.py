@@ -28,9 +28,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
+from .icm import make_reference_grid
 from .metrics import PQResult
-from .model import ModelConfig, PanopticModel
+from .model import STRIDE, ModelConfig, PanopticModel
 from .rng import SplitMix64
 from .synth import SceneConfig, SyntheticScene, generate_scene
 from .train import evaluate_scenes, fit
@@ -159,10 +160,15 @@ def run_ablation(
     train_scenes = list(scenes[:split])
     held_out = list(scenes[split:])
     if not train_scenes or not held_out:
-        raise ValueError(
+        raise ConfigError(
             f"need a non-trivial split, got {len(train_scenes)} train / "
             f"{len(held_out)} held-out"
         )
+
+    if {"icm", "scm_icm"} & set(variants):
+        # A too-fine reference grid fails here, before any variant trains.
+        make_reference_grid(scenes[0].height // STRIDE, scenes[0].width // STRIDE,
+                            base_cfg.s_ref)
 
     rows: List[Dict[str, object]] = []
     for variant in variants:

@@ -424,12 +424,16 @@ def transpose(a: TensorLike, axes) -> Tensor:
 
 
 def take(a: TensorLike, key) -> Tensor:
-    """Basic (slice/integer) indexing; gradient scatters back."""
+    """``a[key]`` for any numpy key: slices, integers or integer arrays.
+
+    The gradient scatter-adds back, so an entry picked more than once
+    by an integer-array key receives the sum of its gradients.
+    """
     a = as_tensor(a)
 
     def grad_fn(g):
         full = np.zeros_like(a.data)
-        full[key] = g
+        np.add.at(full, key, g)
         a._accum(full)
 
     return _make(a.data[key], (a,), grad_fn, a.requires_grad)
@@ -506,13 +510,40 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
+def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1):
+    """im2col rows and output of a same-padded correlation of HWC `x`.
+
+    Row r holds the k*k*C_in window of output pixel r in the kernel's
+    (dy, dx, c) order; the output is rows @ kernel, at every `stride`-th
+    row and column of the stride-1 result.
+    """
+    k = kernel.shape[0]
+    p = (k - 1) // 2
+    h, w, c_in = x.shape
+    xp = x
+    if p:
+        xp = np.zeros((h + 2 * p, w + 2 * p, c_in))
+        xp[p:p + h, p:p + w] = x
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    sy, sx, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (ho, wo, k, k, c_in), (stride * sy, stride * sx, sy, sx, sc), writeable=False
+    )
+    flat = windows.reshape(ho * wo, k * k * c_in)
+    out = flat @ kernel.reshape(k * k * c_in, kernel.shape[3])
+    return flat, out.reshape(ho, wo, kernel.shape[3])
+
+
 def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     """Same-padded cross-correlation, sampled every `stride` pixels.
 
     x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3}; stride >= 1.
     Output (ceil(H/stride), ceil(W/stride), C_out): the stride-1 output
     at rows and columns 0, stride, 2*stride, ..., computed only there.
-    Differentiable w.r.t. both arguments.
+    Differentiable w.r.t. both arguments.  The input gradient is the
+    transposed convolution: the output gradient, zero-filled back to the
+    stride-1 grid, correlated with the kernel flipped in both spatial
+    axes and with its channel axes swapped.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -524,30 +555,20 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
         raise ShapeError(
             f"conv2d channel mismatch: input has {x.shape[2]}, kernel expects {kernel.shape[2]}"
         )
-    h, w, c_in = x.shape
-    c_out = kernel.shape[3]
-    p = (k - 1) // 2
-    xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
-    # im2col: windows (ho, wo, c_in, k, k) -> rows in the kernel's (dy, dx, c) order.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    windows = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
-    ho, wo = windows.shape[:2]
-    flat = windows.reshape(ho * wo, k * k * c_in)
-    kflat = kernel.data.reshape(k * k * c_in, c_out)
-    out_data = (flat @ kflat).reshape(ho, wo, c_out)
+    flat, out_data = _same_correlate(x.data, kernel.data, stride)
+    ho, wo, c_out = out_data.shape
 
     def grad_fn(g):
-        gflat = g.reshape(ho * wo, c_out)
         if kernel.requires_grad:
+            gflat = g.reshape(ho * wo, c_out)
             kernel._accum((flat.T @ gflat).reshape(kernel.shape))
         if x.requires_grad:
-            dcols = (gflat @ kflat.T).reshape(ho, wo, k, k, c_in)
-            dxp = np.zeros((h + 2 * p, w + 2 * p, c_in))
-            for dy in range(k):
-                for dx in range(k):
-                    rows = slice(dy, dy + stride * ho, stride)
-                    dxp[rows, dx:dx + stride * wo:stride] += dcols[:, :, dy, dx]
-            x._accum(dxp[p:p + h, p:p + w])
+            dense = g
+            if stride > 1:
+                dense = np.zeros(x.shape[:2] + (c_out,))
+                dense[::stride, ::stride] = g
+            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
+            x._accum(_same_correlate(dense, flipped)[1])
 
     return _make(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -210,14 +211,29 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
                 continue
             if key not in merged:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            merged[key] = _parse_value(key, raw)
+            value = _parse_value(key, raw)
+            if value is None and merged[key] is not None:
+                raise ConfigError(f"{path}: {key} needs a value")
+            merged[key] = value
     for key in _KEY_ORDER:
         if key == "command":
             continue
         value = getattr(args, "lambda_sem" if key == "lambda" else key, None)
         if value is not None:
             merged[key] = value
+    _check_run_values(merged)
     return merged
+
+
+def _check_run_values(merged: Dict[str, object]) -> None:
+    """Reject out-of-range run settings, whichever command reads them."""
+    for key in ("count", "scenes", "epochs"):
+        if merged[key] is not None and merged[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {merged[key]}")
+    if not (math.isfinite(merged["lr"]) and merged["lr"] > 0.0):
+        raise ConfigError(f"lr must be positive and finite, got {merged['lr']}")
+    if not 0.0 < merged["train_fraction"] < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {merged['train_fraction']}")
 
 
 def _require(merged: Dict[str, object], *keys: str) -> None:
@@ -248,20 +264,17 @@ def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
     shapes = tuple(
         part.strip() for part in str(merged["shapes"]).split(",") if part.strip()
     )
-    try:
-        return SceneConfig(
-            height=merged["height"],
-            width=merged["width"],
-            min_things=merged["min_things"],
-            max_things=merged["max_things"],
-            shapes=shapes,
-            color_jitter=merged["color_jitter"],
-            stuff_bands=merged["stuff_bands"],
-            twin_mode=merged["twin_mode"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SceneConfig(
+        height=merged["height"],
+        width=merged["width"],
+        min_things=merged["min_things"],
+        max_things=merged["max_things"],
+        shapes=shapes,
+        color_jitter=merged["color_jitter"],
+        stuff_bands=merged["stuff_bands"],
+        twin_mode=merged["twin_mode"],
+        seed=seed,
+    )
 
 
 def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
@@ -292,8 +305,6 @@ def cmd_gen(merged: Dict[str, object]) -> int:
     _require(merged, "out", "count", "seed")
     count = int(merged["count"])
     seed = int(merged["seed"])
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
     out = Path(merged["out"])
     if out.exists() and any(out.iterdir()) and not merged["force"]:
         raise ConfigError(f"{out} is not empty (pass --force to write anyway)")

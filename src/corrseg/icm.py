@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import scm
 from .autodiff import Tensor
 from .corrfn import CorrParamField, corr_profile
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
 
 
@@ -39,10 +39,10 @@ class ReferenceGrid:
 def make_reference_grid(height: int, width: int, s: int) -> ReferenceGrid:
     """Reference point (i, j) sits at x=(j+0.5)*W/s, y=(i+0.5)*H/s."""
     if s < 1:
-        raise ValueError(f"reference grid side must be at least 1, got {s}")
+        raise ConfigError(f"reference grid side must be at least 1, got {s}")
     if s > 2 * min(height, width):
-        raise ValueError(
-            f"reference grid side {s} too fine for a {height}x{width} map"
+        raise ConfigError(
+            f"s_ref={s} is too fine for a {height}x{width} map"
         )
     ii, jj = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
     xs = (jj.reshape(-1) + 0.5) * width / s

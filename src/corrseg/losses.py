@@ -21,10 +21,12 @@ from .model import STRIDE, ModelConfig, ModelOutputs
 from .synth import SyntheticScene
 
 def dice_loss(pred: Tensor, target: np.ndarray, eps: float = 1.0) -> Tensor:
-    """1 - soft dice overlap; 0 when prediction equals a binary target."""
+    """1 - soft dice overlap over the last two axes; 0 when prediction
+    equals a binary target.  A stack of (..., H, W) masks gives one term
+    per mask."""
     t = target.astype(float)
-    inter = ad.tsum(ad.mul(pred, Tensor(t)))
-    denom = ad.tsum(ad.mul(pred, pred)) + float((t * t).sum())
+    inter = ad.tsum(ad.mul(pred, Tensor(t)), axis=(-2, -1))
+    denom = ad.tsum(ad.mul(pred, pred), axis=(-2, -1)) + Tensor((t * t).sum(axis=(-2, -1)))
     return 1.0 - (inter * 2.0 + eps) / (denom + eps)
 
 
@@ -91,9 +93,10 @@ def _instance_geometry(mask: np.ndarray):
     return cy, cx, half_h, half_w
 
 
-def assign_instances_to_cells(
-    scene: SyntheticScene, grid_size: int
-) -> List[Tuple[int, int, np.ndarray]]:
+Assignment = List[Tuple[int, int, np.ndarray]]
+
+
+def assign_instances_to_cells(scene: SyntheticScene, grid_size: int) -> Assignment:
     """(cell index, category, feature-scale target mask) per assigned pair.
 
     Centroid cells are claimed first (first come, first served), so every
@@ -133,27 +136,22 @@ def assign_instances_to_cells(
     return assigned
 
 
-def mask_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
-    assigned = assign_instances_to_cells(scene, cfg.grid_size)
+def mask_loss(mask_logits: Tensor, assigned: Assignment) -> Tensor:
+    """Mean dice loss of the assigned cells' masks, one batched term."""
     if not assigned:
         return Tensor(0.0)
-    terms = [
-        dice_loss(ad.sigmoid(outputs.mask_logits[cell]), target)
-        for cell, _, target in assigned
-    ]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total * (1.0 / len(terms))
+    cells = np.array([cell for cell, _, _ in assigned])
+    targets = np.stack([target for _, _, target in assigned])
+    dice = dice_loss(ad.sigmoid(mask_logits[cells]), targets)
+    return ad.tsum(dice) * (1.0 / len(assigned))
 
 
-def cate_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
-    g = cfg.grid_size
-    onehot = np.zeros((g * g, cfg.k_thing))
-    for cell, category, _ in assign_instances_to_cells(scene, g):
+def cate_loss(cate_logits: Tensor, assigned: Assignment) -> Tensor:
+    g, _, k_thing = cate_logits.shape
+    onehot = np.zeros((g * g, k_thing))
+    for cell, category, _ in assigned:
         onehot[cell, category] = 1.0
-    flat = ad.reshape(outputs.cate_logits, (g * g, cfg.k_thing))
-    return focal_loss(flat, onehot)
+    return focal_loss(ad.reshape(cate_logits, (g * g, k_thing)), onehot)
 
 
 def sem_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
@@ -167,7 +165,8 @@ def sem_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> 
 
 
 def total_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
-    parts = mask_loss(outputs, scene, cfg) + cate_loss(outputs, scene, cfg)
+    assigned = assign_instances_to_cells(scene, cfg.grid_size)
+    parts = mask_loss(outputs.mask_logits, assigned) + cate_loss(outputs.cate_logits, assigned)
     if cfg.lambda_sem != 0.0:
         parts = parts + sem_loss(outputs, scene, cfg) * cfg.lambda_sem
     return parts

@@ -15,6 +15,7 @@ parameter dict is flat, checkpointable, and order-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,8 +60,10 @@ class ModelConfig:
             raise ConfigError(f"s_ref must be >= 1, got {self.s_ref}")
         if self.grid_size < 1:
             raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
-        if self.lambda_sem < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lambda_sem}")
+        if not 0 <= self.lambda_sem < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_sem}")
+        if not 0 < self.nms_sigma < math.inf:
+            raise ConfigError(f"nms_sigma must be finite and > 0, got {self.nms_sigma}")
         if self.channels < 1 or self.k_thing < 1 or self.k_stuff < 0:
             raise ConfigError("channels and category counts must be positive")
         for name in ("pre_nms_score", "post_nms_score", "stuff_min_area"):

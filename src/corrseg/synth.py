@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .rng import SplitMix64
 
 THING_CLASSES = 3
@@ -49,6 +49,13 @@ _PLACEMENT_RETRIES = 40
 _TWIN_RETRIES = 400
 
 
+# Upper limits keep generating one scene bounded in time and memory:
+# every side allocates several (H, W) arrays, and every requested thing
+# costs up to _PLACEMENT_RETRIES full-image mask draws.
+MIN_SIDE, MAX_SIDE = 16, 1024
+MAX_THINGS = 64
+
+
 @dataclass
 class SceneConfig:
     height: int = 64
@@ -62,21 +69,26 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 16 or self.width < 16:
-            raise ValueError(f"scene dims must be at least 16, got {self.height}x{self.width}")
-        if not 0 <= self.min_things <= self.max_things:
-            raise ValueError(
-                f"need 0 <= min_things <= max_things, got {self.min_things}..{self.max_things}"
+        if not (MIN_SIDE <= self.height <= MAX_SIDE and MIN_SIDE <= self.width <= MAX_SIDE):
+            raise ConfigError(
+                f"scene dims must be in [{MIN_SIDE}, {MAX_SIDE}], got {self.height}x{self.width}"
             )
-        if self.stuff_bands < 1:
-            raise ValueError("at least one stuff band required")
+        if not 0 <= self.min_things <= self.max_things <= MAX_THINGS:
+            raise ConfigError(
+                f"need 0 <= min_things <= max_things <= {MAX_THINGS}, "
+                f"got {self.min_things}..{self.max_things}"
+            )
+        if not 1 <= self.stuff_bands <= self.height:
+            raise ConfigError(
+                f"stuff_bands must be in [1, height={self.height}], got {self.stuff_bands}"
+            )
         unknown = set(self.shapes) - {"disk", "rectangle"}
         if not self.shapes or unknown:
-            raise ValueError(f"shapes must be drawn from disk/rectangle, got {self.shapes}")
+            raise ConfigError(f"shapes must be drawn from disk/rectangle, got {self.shapes}")
         if not 0.0 <= self.color_jitter <= 0.5:
-            raise ValueError(f"color jitter must be in [0, 0.5], got {self.color_jitter}")
+            raise ConfigError(f"color jitter must be in [0, 0.5], got {self.color_jitter}")
         if self.twin_mode and self.max_things < 2:
-            raise ValueError("twin mode needs room for at least two things")
+            raise ConfigError("twin mode needs room for at least two things")
 
 
 @dataclass

@@ -1,11 +1,14 @@
-"""Independent numpy oracles for the correlation profile.
+"""Independent numpy oracles.
 
 `corrseg.corrfn.corr_profile` is the package's one correlation
 evaluator: a fixed-basis matmul over packed parameters
-[a0, A_1..A_N, psi_1..psi_N].  These helpers share no code with it.
-`fit_dft` goes through `np.fft` and returns that packed layout, so a fit
-feeds straight into `corr_profile`; `per_harmonic_profile` evaluates
-one sine per term.
+[a0, A_1..A_N, psi_1..psi_N].  `fit_dft` and `per_harmonic_profile`
+share no code with it.  `fit_dft` goes through `np.fft` and returns that
+packed layout, so a fit feeds straight into `corr_profile`;
+`per_harmonic_profile` evaluates one sine per term.
+
+`conv2d_grads` differentiates `corrseg.autodiff.conv2d` one output pixel
+and one kernel tap at a time, with no im2col and no padded copy.
 """
 
 import numpy as np
@@ -59,3 +62,30 @@ def per_harmonic_profile(theta, coords, length):
         args = k * (np.pi / length) * coords + theta[..., n + k:n + k + 1]
         out = out + theta[..., k:k + 1] * np.sin(args)
     return out
+
+
+def conv2d_grads(x, kernel, g, stride=1):
+    """(dx, dkernel) of a same-padded correlation sampled every `stride`.
+
+    out[i, j] = sum over taps (ty, tx) of x[i*stride + ty - p,
+    j*stride + tx - p] @ kernel[ty, tx], with p = (k - 1) // 2 and taps
+    outside x reading zero.  Each in-bounds tap scatter-adds
+    kernel[ty, tx] @ g[i, j] to its input pixel and the outer product of
+    that pixel with g[i, j] to kernel[ty, tx].
+    """
+    x = np.asarray(x, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    h, w, _ = x.shape
+    k = kernel.shape[0]
+    p = (k - 1) // 2
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(kernel)
+    for i in range(g.shape[0]):
+        for j in range(g.shape[1]):
+            for ty in range(k):
+                for tx in range(k):
+                    row, col = i * stride + ty - p, j * stride + tx - p
+                    if 0 <= row < h and 0 <= col < w:
+                        dx[row, col] += kernel[ty, tx] @ g[i, j]
+                        dk[ty, tx] += np.outer(x[row, col], g[i, j])
+    return dx, dk

@@ -8,16 +8,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrseg
 from corrseg import icm
 from corrseg.autodiff import no_grad
 from corrseg.checkpoint import load_checkpoint, load_model_state
-from corrseg.cli import main
+from corrseg.cli import _KEY_ORDER, main
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
 from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir
@@ -165,6 +168,32 @@ class TestConfigMerging:
         assert main(["gen", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--count", "0", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("ablate", "train_fraction=nan"),
+        ("ablate", "train_fraction=1"),
+        ("train", "s_ref=1000\nuse_icm=1"),
+        ("ablate", "s_ref=1000"),
+        ("gen", "height=100000000000000000000"),
+        ("ablate", "height=100000000000000000000"),
+        ("ablate", "lr=nan"),
+        ("train", "epochs=-1"),
+        ("train", "count=-3"),
+        ("gen", "max_things=100000"),
+        ("gen", "height="),
+        ("train", "lambda=nan"),
+        ("train", "nms_sigma=-1"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, dataset, capsys, command, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        argv = {"gen": ["--count", "1", "--seed", "0"],
+                "train": ["--data", str(dataset)],
+                "ablate": ["--scenes", "5", "--epochs", "1"]}[command]
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+                    + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_resolved_cfg_reproduces_the_run(self, tmp_path, dataset):
         out = tmp_path / "again"
         rc = main(["gen", "--config", str(dataset / "resolved.cfg"),
@@ -173,6 +202,28 @@ class TestConfigMerging:
         left = dataset / "scenes" / "7" / "image.ppm"
         right = out / "scenes" / "7" / "image.ppm"
         assert left.read_bytes() == right.read_bytes()
+
+
+_CONFIG_VALUES = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from(["", "nan", "-inf", "1e400", "0", "1", "-1", "disk", "true"]),
+)
+_CONFIG_LINES = st.lists(
+    st.tuples(st.sampled_from(_KEY_ORDER[1:] + ("warp_factor",)), _CONFIG_VALUES)
+    .map(lambda kv: f"{kv[0]}={kv[1]}"),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.one_of(st.binary(max_size=64), _CONFIG_LINES), pass_seed=st.booleans())
+def test_any_config_file_fails_closed(config, pass_seed):
+    """gen --count 1 under an arbitrary config file exits 0, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_bytes(config)
+        argv = ["gen", "--config", str(cfg), "--out", str(Path(tmp) / "o"), "--count", "1"]
+        assert main(argv + ["--seed", "0"] * pass_seed) in (0, 2, 3)
 
 
 class TestTrain:

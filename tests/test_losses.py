@@ -54,6 +54,16 @@ class TestDice:
         expected = 1 - (2 * inter + 1) / ((p * p).sum() + (t * t).sum() + 1)
         assert losses.dice_loss(Tensor(p), t).item() == pytest.approx(expected, rel=1e-12)
 
+    def test_stack_gives_one_term_per_mask(self):
+        rng = SplitMix64(12)
+        p = rng.uniform_array((3, 4, 5))
+        t = rng.uniform_array((3, 4, 5)) > 0.5
+        batched = losses.dice_loss(Tensor(p), t).data
+        assert batched.shape == (3,)
+        for i in range(3):
+            assert batched[i] == pytest.approx(losses.dice_loss(Tensor(p[i]), t[i]).item(),
+                                               rel=1e-15)
+
 
 class TestFocal:
     def manual(self, logits, target, alpha=0.25):
@@ -183,7 +193,8 @@ class TestTotalLoss:
         cfg = self.cfg()
         model = PanopticModel(cfg, SplitMix64(3))
         out = model.forward(Tensor(scene.image))
-        assert losses.mask_loss(out, scene, cfg).item() == 0.0
+        assigned = losses.assign_instances_to_cells(scene, cfg.grid_size)
+        assert losses.mask_loss(out.mask_logits, assigned).item() == 0.0
         loss = losses.total_loss(out, scene, cfg)
         loss.backward()
         params = model.parameters()
@@ -250,24 +261,21 @@ class TestGradients:
     def test_mask_term_gradient(self):
         rng = SplitMix64(34)
         x = rng.uniform_array((4, self.hf, self.wf)) * 2 - 1
-        sem = Tensor(np.zeros((self.hf, self.wf, self.cfg.k_total)))
-        cate = Tensor(np.zeros((2, 2, self.cfg.k_thing)))
+        assigned = losses.assign_instances_to_cells(self.scene, self.cfg.grid_size)
+        assert len(assigned) >= 2
 
         def f(t):
-            out = ModelOutputs(sem_logits=sem, cate_logits=cate, mask_logits=t)
-            return losses.mask_loss(out, self.scene, self.cfg)
+            return losses.mask_loss(t, assigned)
 
         assert check_gradients(f, Tensor(x, requires_grad=True)) < GRAD_TOL
 
     def test_cate_term_gradient(self):
         rng = SplitMix64(35)
         x = rng.uniform_array((2, 2, self.cfg.k_thing)) * 2 - 1
-        sem = Tensor(np.zeros((self.hf, self.wf, self.cfg.k_total)))
-        masks = Tensor(np.zeros((4, self.hf, self.wf)))
+        assigned = losses.assign_instances_to_cells(self.scene, self.cfg.grid_size)
 
         def f(t):
-            out = ModelOutputs(sem_logits=sem, cate_logits=t, mask_logits=masks)
-            return losses.cate_loss(out, self.scene, self.cfg)
+            return losses.cate_loss(t, assigned)
 
         assert check_gradients(f, Tensor(x, requires_grad=True)) < GRAD_TOL
 
