@@ -364,9 +364,9 @@ def cmd_train(merged: Dict[str, object]) -> int:
 
 def _oracle_prediction(scene: SyntheticScene) -> InstancePrediction:
     return InstancePrediction(
-        masks=[mask.astype(float) for mask, _ in scene.instances],
-        categories=[category for _, category in scene.instances],
-        scores=[1.0] * len(scene.instances),
+        masks=np.stack([mask for mask, _ in scene.instances]),
+        categories=np.array([category for _, category in scene.instances]),
+        scores=np.ones(len(scene.instances)),
     )
 
 

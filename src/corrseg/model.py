@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -80,14 +80,16 @@ class ModelConfig:
 
 @dataclass
 class InstancePrediction:
-    masks: List[np.ndarray]
-    categories: List[int]
-    scores: List[float]
+    """Candidate instances: (n, H, W) bool masks, (n,) categories, (n,) scores."""
+
+    masks: np.ndarray
+    categories: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
         if not (len(self.masks) == len(self.categories) == len(self.scores)):
             raise ShapeError(
-                f"prediction list lengths differ: {len(self.masks)} masks, "
+                f"prediction lengths differ: {len(self.masks)} masks, "
                 f"{len(self.categories)} categories, {len(self.scores)} scores"
             )
 
@@ -210,27 +212,20 @@ def decode_instances(
 ) -> InstancePrediction:
     """Turn raw head outputs into thresholded per-cell predictions.
 
-    Masks become sigmoid probabilities upsampled (bilinear) to image size,
-    which places the later 0.5 binarization boundary between feature cells
-    instead of snapping it to 4-pixel blocks; candidates are ordered by
-    descending score, then grid cell, then class.
+    This is the one place masks are binarized: each candidate's sigmoid
+    probabilities are upsampled (bilinear) to image size and cut at 0.5,
+    which places the boundary between feature cells instead of snapping
+    it to 4-pixel blocks.  Candidates are the (cell, class) pairs scoring
+    above ``pre_nms_score``, ordered by descending score, then grid cell,
+    then class.
     """
-    cate = ad.stable_sigmoid(cate_logits)  # (G, G, K_thing)
-    masks_lo = ad.stable_sigmoid(mask_logits)  # (G*G, Hf, Wf)
-    g = cfg.grid_size
-    candidates = []
-    for cell in range(g * g):
-        for cls in range(cfg.k_thing):
-            score = float(cate[cell // g, cell % g, cls])
-            if score > cfg.pre_nms_score:
-                candidates.append((-score, cell, cls))
-    candidates.sort()
-    cells = [cell for _, cell, _ in candidates]
-    return InstancePrediction(
-        masks=list(upsample_bilinear(masks_lo[cells], STRIDE)),
-        categories=[cls for _, _, cls in candidates],
-        scores=[-neg_score for neg_score, _, _ in candidates],
-    )
+    cate = ad.stable_sigmoid(cate_logits).reshape(cfg.grid_size ** 2, cfg.k_thing)
+    cells, classes = np.nonzero(cate > cfg.pre_nms_score)
+    scores = cate[cells, classes]
+    order = np.lexsort((classes, cells, -scores))
+    cells, classes, scores = cells[order], classes[order], scores[order]
+    probs = upsample_bilinear(ad.stable_sigmoid(mask_logits[cells]), STRIDE)
+    return InstancePrediction(masks=probs > 0.5, categories=classes, scores=scores)
 
 
 def upsample_nearest(arr: np.ndarray, factor: int) -> np.ndarray:

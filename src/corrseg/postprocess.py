@@ -1,7 +1,8 @@
 """Instance de-duplication and panoptic fusion.
 
-Matrix NMS rescales scores in one shot instead of dropping masks: each
-mask's score is multiplied by a gaussian decay driven by its worst overlap
+Both steps read the decoder's (n, H, W) bool mask stack as it is; masks
+were thresholded once, at decode.  Matrix NMS rescales scores in one
+shot instead of dropping masks: each mask's score is multiplied by a gaussian decay driven by its worst overlap
 with any higher-scored mask of the same category, compensated by how much
 that suppressor is itself suppressed.  Fusion then paints kept instances
 in score order onto an empty canvas, fills the rest from the semantic
@@ -48,16 +49,14 @@ def matrix_nms(pred: InstancePrediction, sigma: float = 2.0) -> InstancePredicti
     masks i of the same category, where cmax_i is the worst overlap i has
     with anything above it.  Scores never increase.
     """
-    n = len(pred)
-    if n == 0:
-        return InstancePrediction(masks=[], categories=[], scores=[])
+    if len(pred) == 0:
+        return pred
 
-    order = np.argsort(-np.asarray(pred.scores), kind="stable")
-    masks = [pred.masks[i] for i in order]
-    cats = np.asarray([pred.categories[i] for i in order])
-    scores = np.asarray([pred.scores[i] for i in order], dtype=float)
+    order = np.argsort(-pred.scores, kind="stable")
+    masks = pred.masks[order]
+    cats = pred.categories[order]
 
-    flat = np.stack([(m > 0.5).reshape(-1).astype(float) for m in masks])
+    flat = masks.reshape(len(masks), -1).astype(float)
     inter = flat @ flat.T
     areas = np.diag(inter)
     union = areas[:, None] + areas[None, :] - inter
@@ -72,11 +71,8 @@ def matrix_nms(pred: InstancePrediction, sigma: float = 2.0) -> InstancePredicti
     )
     decay = decay_pairs.min(axis=0)
 
-    return InstancePrediction(
-        masks=masks,
-        categories=[int(c) for c in cats],
-        scores=[float(s) for s in scores * decay],
-    )
+    return InstancePrediction(masks=masks, categories=cats,
+                              scores=pred.scores[order] * decay)
 
 
 def fuse_panoptic(
@@ -86,21 +82,20 @@ def fuse_panoptic(
     if semantic.ndim != 2:
         raise ShapeError(f"semantic map must be 2D, got {semantic.shape}")
     h, w = semantic.shape
+    if pred.masks.shape[1:] != (h, w):
+        raise ShapeError(
+            f"masks {pred.masks.shape[1:]} do not match semantic map {(h, w)}"
+        )
     category = np.full((h, w), -1, dtype=np.int64)
     instance = np.zeros((h, w), dtype=np.int64)
     claimed = np.zeros((h, w), dtype=bool)
 
-    keep = [i for i in range(len(pred)) if pred.scores[i] > cfg.post_nms_score]
-    keep.sort(key=lambda i: (-pred.scores[i], i))
+    keep = np.flatnonzero(pred.scores > cfg.post_nms_score)
+    keep = keep[np.argsort(-pred.scores[keep], kind="stable")]
 
     next_id = 0
     for i in keep:
-        mask = pred.masks[i]
-        if mask.shape != (h, w):
-            raise ShapeError(
-                f"mask {mask.shape} does not match semantic map {(h, w)}"
-            )
-        claim = (mask > 0.5) & ~claimed
+        claim = pred.masks[i] & ~claimed
         if not claim.any():
             continue
         next_id += 1

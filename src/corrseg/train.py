@@ -220,20 +220,9 @@ def twins_covered(
         raise ValueError("scene was not generated in twin mode")
     if len(scene.instances) < 2 or scene.instances[0][1] != scene.instances[1][1]:
         raise ValueError("twin scene is missing its twin pair")
-    kept = [
-        pred.masks[i] > 0.5
-        for i in range(len(pred))
-        if pred.scores[i] > score_threshold
-    ]
-    for gt_mask, _ in scene.instances[:2]:
-        gt_area = gt_mask.sum()
-        found = False
-        for mask in kept:
-            inter = (mask & gt_mask).sum()
-            union = mask.sum() + gt_area - inter
-            if union > 0 and inter / union > 0.5:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    kept = pred.masks[pred.scores > score_threshold]
+    twins = np.stack([mask for mask, _ in scene.instances[:2]])
+    inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))  # (2, n_kept)
+    union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
+    # IoU > 0.5 without dividing: an empty union has inter 0 and fails
+    return bool((2 * inter > union).any(axis=1).all())

@@ -150,7 +150,8 @@ class TestDecode:
         masks = np.zeros((4, 4, 4))
         pred = decode_instances(cate, masks, self.cfg())
         assert len(pred) == 0
-        assert pred.masks == [] and pred.categories == [] and pred.scores == []
+        assert pred.masks.shape == (0, 16, 16) and pred.masks.dtype == bool
+        assert pred.categories.shape == pred.scores.shape == (0,)
 
     def test_threshold_excludes_scores_at_or_below(self):
         cfg = self.cfg()
@@ -167,7 +168,7 @@ class TestDecode:
         cate[1, 1, 0] = 2.0
         cate[0, 1, 2] = 1.0  # ties with cell 0 on score, higher cell index
         pred = decode_instances(cate, np.zeros((4, 4, 4)), self.cfg())
-        assert pred.categories == [0, 1, 2]
+        assert list(pred.categories) == [0, 1, 2]
         assert pred.scores[0] > pred.scores[1] == pred.scores[2]
 
     def test_each_mask_comes_from_its_cell(self):
@@ -178,18 +179,18 @@ class TestDecode:
         mask_logits = SplitMix64(9).uniform_array((4, 4, 4), -3.0, 3.0)
         pred = decode_instances(cate, mask_logits, self.cfg())
         for mask, cell in zip(pred.masks, [3, 0, 1]):
-            want = upsample_bilinear(ad.stable_sigmoid(mask_logits[cell]), STRIDE)
+            want = upsample_bilinear(ad.stable_sigmoid(mask_logits[cell]), STRIDE) > 0.5
             assert np.array_equal(mask, want)
 
-    def test_masks_are_probabilities_at_image_scale(self):
+    def test_masks_are_thresholded_at_image_scale(self):
         rng = SplitMix64(7)
         cate = np.full((2, 2, 3), 3.0)
         masks = rng.uniform_array((4, 4, 4)) * 8 - 4
         pred = decode_instances(cate, masks, self.cfg())
         assert len(pred) == 12
-        for m in pred.masks:
-            assert m.shape == (16, 16)
-            assert np.all((m >= 0) & (m <= 1))
+        assert pred.masks.shape == (12, 16, 16) and pred.masks.dtype == bool
+        probs = upsample_bilinear(ad.stable_sigmoid(masks), STRIDE)
+        np.testing.assert_array_equal(pred.masks, np.repeat(probs, 3, axis=0) > 0.5)
 
     def test_g1_cardinality_bound(self):
         cfg = tiny_cfg(grid_size=1, k_thing=3)
@@ -259,4 +260,6 @@ class TestUpsample:
 class TestPredictionContainer:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            InstancePrediction(masks=[np.zeros((2, 2))], categories=[], scores=[0.5])
+            InstancePrediction(masks=np.zeros((1, 2, 2), dtype=bool),
+                               categories=np.zeros(0, dtype=np.int64),
+                               scores=np.array([0.5]))

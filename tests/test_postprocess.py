@@ -14,14 +14,23 @@ SIGMA = 2.0
 
 
 def box_mask(h, w, r0, r1, c0, c1):
-    m = np.zeros((h, w))
-    m[r0:r1, c0:c1] = 1.0
+    m = np.zeros((h, w), dtype=bool)
+    m[r0:r1, c0:c1] = True
     return m
 
 
+def prediction(masks, categories, scores):
+    """Stack per-instance bool masks and labels into one prediction."""
+    return InstancePrediction(masks=np.stack(masks), categories=np.array(categories),
+                              scores=np.array(scores, dtype=float))
+
+
+def no_prediction(h, w):
+    return InstancePrediction(masks=np.zeros((0, h, w), dtype=bool),
+                              categories=np.zeros(0, dtype=np.int64), scores=np.zeros(0))
+
+
 def iou_of(a, b):
-    a = a > 0.5
-    b = b > 0.5
     inter = (a & b).sum()
     union = a.sum() + b.sum() - inter
     return inter / union if union else 0.0
@@ -53,21 +62,17 @@ def decay_oracle(masks, categories, scores, sigma=SIGMA):
 
 class TestMatrixNms:
     def test_empty_input(self):
-        pred = matrix_nms(InstancePrediction(masks=[], categories=[], scores=[]))
+        pred = matrix_nms(no_prediction(8, 8))
         assert len(pred) == 0
 
     def test_single_mask_unchanged(self):
-        pred = InstancePrediction(
-            masks=[box_mask(8, 8, 0, 4, 0, 4)], categories=[1], scores=[0.7]
-        )
+        pred = prediction([box_mask(8, 8, 0, 4, 0, 4)], [1], [0.7])
         out = matrix_nms(pred)
-        assert out.scores == [0.7]
+        assert list(out.scores) == [0.7]
 
     def test_identical_masks_lower_decays_strictly(self):
         m = box_mask(8, 8, 2, 6, 2, 6)
-        pred = InstancePrediction(
-            masks=[m, m.copy()], categories=[0, 0], scores=[0.9, 0.8]
-        )
+        pred = prediction([m, m.copy()], [0, 0], [0.9, 0.8])
         out = matrix_nms(pred)
         assert out.scores[0] == 0.9
         expected = 0.8 * math.exp(-1.0 / SIGMA)
@@ -75,11 +80,9 @@ class TestMatrixNms:
 
     def test_different_categories_do_not_interact(self):
         m = box_mask(8, 8, 2, 6, 2, 6)
-        pred = InstancePrediction(
-            masks=[m, m.copy()], categories=[0, 1], scores=[0.9, 0.8]
-        )
+        pred = prediction([m, m.copy()], [0, 1], [0.9, 0.8])
         out = matrix_nms(pred)
-        assert out.scores == [0.9, 0.8]
+        assert list(out.scores) == [0.9, 0.8]
 
     def test_three_mask_case_matches_oracle(self):
         masks = [
@@ -89,9 +92,7 @@ class TestMatrixNms:
         ]
         cats = [2, 2, 2]
         scores = [0.9, 0.7, 0.5]
-        out = matrix_nms(
-            InstancePrediction(masks=list(masks), categories=cats, scores=scores)
-        )
+        out = matrix_nms(prediction(masks, cats, scores))
         expected = decay_oracle(masks, cats, scores)
         assert np.allclose(out.scores, expected, atol=1e-12)
 
@@ -107,7 +108,7 @@ class TestMatrixNms:
                                       c0, c0 + 2 + rng.randint(4)))
                 cats.append(rng.randint(2))
                 scores.append(0.05 + 0.9 * rng.next_double())
-            pred = InstancePrediction(masks=masks, categories=cats, scores=list(scores))
+            pred = prediction(masks, cats, scores)
             out = matrix_nms(pred)
             expected = decay_oracle(masks, cats, scores)
             assert np.allclose(out.scores, expected, atol=1e-12), trial
@@ -117,10 +118,11 @@ class TestMatrixNms:
 
     def test_output_sorted_by_incoming_score(self):
         masks = [box_mask(8, 8, 0, 2, 0, 2), box_mask(8, 8, 4, 6, 4, 6)]
-        pred = InstancePrediction(masks=masks, categories=[0, 1], scores=[0.4, 0.8])
+        pred = prediction(masks, [0, 1], [0.4, 0.8])
         out = matrix_nms(pred)
-        assert out.scores == [0.8, 0.4]
-        assert out.categories == [1, 0]
+        assert list(out.scores) == [0.8, 0.4]
+        assert list(out.categories) == [1, 0]
+        np.testing.assert_array_equal(out.masks, [masks[1], masks[0]])
 
 
 def fusion_cfg(**overrides):
@@ -134,9 +136,7 @@ class TestFusePanoptic:
         cfg = fusion_cfg(stuff_min_area=0.05)
         semantic = np.full((20, 20), 3, dtype=np.int64)
         semantic[0, :10] = 4  # 10 pixels < 0.05 * 400 = 20
-        fused = fuse_panoptic(
-            InstancePrediction(masks=[], categories=[], scores=[]), semantic, cfg
-        )
+        fused = fuse_panoptic(no_prediction(20, 20), semantic, cfg)
         assert np.all(fused.instance == 0)
         assert np.all(fused.category[semantic == 3] == 3)
         assert np.all(fused.category[semantic == 4] == -1)
@@ -146,7 +146,7 @@ class TestFusePanoptic:
         semantic = np.full((8, 8), 3, dtype=np.int64)
         a = box_mask(8, 8, 0, 4, 0, 8)
         b = box_mask(8, 8, 2, 6, 0, 8)
-        pred = InstancePrediction(masks=[a, b], categories=[0, 1], scores=[0.9, 0.8])
+        pred = prediction([a, b], [0, 1], [0.9, 0.8])
         fused = fuse_panoptic(pred, semantic, cfg)
         assert np.all(fused.category[0:4] == 0)
         assert np.all(fused.category[4:6] == 1)  # only the unclaimed remainder
@@ -159,9 +159,7 @@ class TestFusePanoptic:
         semantic = np.full((12, 12), 4, dtype=np.int64)
         masks = [box_mask(12, 12, rng.randint(8), 12, rng.randint(8), 12)
                  for _ in range(3)]
-        pred = InstancePrediction(
-            masks=masks, categories=[0, 1, 2], scores=[0.9, 0.8, 0.7]
-        )
+        pred = prediction(masks, [0, 1, 2], [0.9, 0.8, 0.7])
         fused = fuse_panoptic(pred, semantic, cfg)
         # instance pixels carry a thing class; everything else stuff or void
         thing = fused.instance > 0
@@ -174,9 +172,7 @@ class TestFusePanoptic:
         cfg = fusion_cfg()
         semantic = np.full((8, 8), 3, dtype=np.int64)
         m = box_mask(8, 8, 0, 4, 0, 4)
-        at_threshold = InstancePrediction(
-            masks=[m], categories=[0], scores=[cfg.post_nms_score]
-        )
+        at_threshold = prediction([m], [0], [cfg.post_nms_score])
         fused = fuse_panoptic(at_threshold, semantic, cfg)
         assert np.all(fused.instance == 0)
 
@@ -185,28 +181,24 @@ class TestFusePanoptic:
         semantic = np.full((8, 8), 3, dtype=np.int64)
         big = box_mask(8, 8, 0, 6, 0, 6)
         inner = box_mask(8, 8, 1, 3, 1, 3)
-        pred = InstancePrediction(
-            masks=[big, inner], categories=[0, 1], scores=[0.9, 0.8]
-        )
+        pred = prediction([big, inner], [0, 1], [0.9, 0.8])
         fused = fuse_panoptic(pred, semantic, cfg)
         assert set(np.unique(fused.instance)) == {0, 1}
 
     def test_unclaimed_thing_pixels_become_void(self):
         cfg = fusion_cfg()
         semantic = np.zeros((8, 8), dtype=np.int64)  # all thing class 0
-        fused = fuse_panoptic(
-            InstancePrediction(masks=[], categories=[], scores=[]), semantic, cfg
-        )
+        fused = fuse_panoptic(no_prediction(8, 8), semantic, cfg)
         assert np.all(fused.category == -1)
         assert np.all(fused.instance == 0)
 
     def test_mask_shape_mismatch_rejected(self):
         cfg = fusion_cfg()
-        pred = InstancePrediction(
-            masks=[box_mask(4, 4, 0, 2, 0, 2)], categories=[0], scores=[0.9]
-        )
+        pred = prediction([box_mask(4, 4, 0, 2, 0, 2)], [0], [0.9])
         with pytest.raises(ShapeError):
             fuse_panoptic(pred, np.zeros((8, 8), dtype=np.int64), cfg)
+        with pytest.raises(ShapeError):
+            fuse_panoptic(no_prediction(4, 4), np.zeros((8, 8), dtype=np.int64), cfg)
 
 
 class TestContainer:

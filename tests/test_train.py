@@ -167,17 +167,27 @@ class TestInference:
             calls.append(id(scene))
             fused, _ = infer_panoptic(model, scene)
             if scene is not twins[0]:
-                return fused, InstancePrediction(masks=[], categories=[], scores=[])
-            return fused, InstancePrediction(
-                masks=[m.astype(float) for m, _ in scene.instances],
-                categories=[c for _, c in scene.instances],
-                scores=[0.9] * len(scene.instances),
-            )
+                return fused, truth_prediction(scene, keep=0)
+            return fused, truth_prediction(scene)
 
         monkeypatch.setattr(train_mod, "infer_panoptic", perfect_on_first_twin)
         _, rate = evaluate_scenes(smoke_model(seed=8), scenes)
         assert calls == [id(scene) for scene in scenes]
         assert rate == 0.5
+
+
+def truth_prediction(scene, keep=None, score=0.9, shift=0):
+    """The first ``keep`` ground-truth instances as a prediction, with
+    categories shifted by ``shift`` (mod 3) and one shared score."""
+    instances = scene.instances[:keep]
+    masks = np.zeros((len(instances), scene.height, scene.width), dtype=bool)
+    for k, (mask, _) in enumerate(instances):
+        masks[k] = mask
+    return InstancePrediction(
+        masks=masks,
+        categories=np.array([(c + shift) % 3 for _, c in instances], dtype=np.int64),
+        scores=np.full(len(instances), score),
+    )
 
 
 class TestTwinDetection:
@@ -186,43 +196,38 @@ class TestTwinDetection:
 
     def test_perfect_predictions_cover_twins(self):
         scene = self.twin_scene()
-        masks = [m.astype(float) for m, _ in scene.instances]
-        pred = InstancePrediction(
-            masks=masks,
-            categories=[c for _, c in scene.instances],
-            scores=[0.9] * len(masks),
-        )
-        assert twins_covered(pred, scene, 0.3)
+        assert twins_covered(truth_prediction(scene), scene, 0.3)
 
     def test_single_covering_mask_is_not_enough(self):
         scene = self.twin_scene()
-        mask, category = scene.instances[0]
-        pred = InstancePrediction(
-            masks=[mask.astype(float)], categories=[category], scores=[0.9]
-        )
-        assert not twins_covered(pred, scene, 0.3)
+        assert not twins_covered(truth_prediction(scene, keep=1), scene, 0.3)
 
     def test_class_label_is_ignored(self):
         scene = self.twin_scene()
-        masks = [m.astype(float) for m, _ in scene.instances]
-        wrong = [(c + 1) % 3 for _, c in scene.instances]
-        pred = InstancePrediction(masks=masks, categories=wrong,
-                                  scores=[0.9] * len(masks))
-        assert twins_covered(pred, scene, 0.3)
+        assert twins_covered(truth_prediction(scene, shift=1), scene, 0.3)
 
     def test_low_scores_filtered_out(self):
         scene = self.twin_scene()
-        masks = [m.astype(float) for m, _ in scene.instances]
-        pred = InstancePrediction(
-            masks=masks,
-            categories=[c for _, c in scene.instances],
-            scores=[0.2] * len(masks),
-        )
-        assert not twins_covered(pred, scene, 0.3)
+        assert not twins_covered(truth_prediction(scene, score=0.2), scene, 0.3)
+
+    def test_iou_must_exceed_half(self):
+        scene = self.twin_scene()
+        ys, xs = np.nonzero(~(scene.instances[0][0] | scene.instances[1][0]))
+
+        def grown(extra):
+            """Each twin plus extra(area) pixels from outside both twins."""
+            pred = truth_prediction(scene)
+            for k in range(2):
+                n = extra(int(pred.masks[k].sum()))
+                pred.masks[k, ys[:n], xs[:n]] = True
+            return pred
+
+        assert not twins_covered(grown(lambda area: area), scene, 0.3)  # IoU 1/2
+        assert twins_covered(grown(lambda area: area - 1), scene, 0.3)
 
     def test_non_twin_scene_rejected(self):
         scene = smoke_scenes(1)[0]
-        pred = InstancePrediction(masks=[], categories=[], scores=[])
+        pred = truth_prediction(scene, keep=0)
         with pytest.raises(ValueError):
             twins_covered(pred, scene, 0.3)
 
