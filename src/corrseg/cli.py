@@ -227,9 +227,11 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
 
 def _check_run_values(merged: Dict[str, object]) -> None:
     """Reject out-of-range run settings, whichever command reads them."""
-    for key in ("count", "scenes", "epochs"):
+    for key in ("count", "scenes"):
         if merged[key] is not None and merged[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {merged[key]}")
+    if merged["epochs"] < 1:
+        raise ConfigError(f"epochs must be >= 1, got {merged['epochs']}")
     if not (math.isfinite(merged["lr"]) and merged["lr"] > 0.0):
         raise ConfigError(f"lr must be positive and finite, got {merged['lr']}")
     if not 0.0 < merged["train_fraction"] < 1.0:

@@ -35,6 +35,13 @@ STRIDE = 4  # backbone downsampling factor
 # predicts no instances.
 CATE_BIAS_INIT = -4.59
 
+# Upper limits keep building one model bounded in memory: channels sizes
+# every feature map and kernel, n_fourier every correlation profile, and
+# the mask head emits grid_size^2 full feature maps per scene.
+MAX_CHANNELS = 256
+MAX_FOURIER = 64
+MAX_GRID_SIZE = 64
+
 
 @dataclass
 class ModelConfig:
@@ -54,18 +61,20 @@ class ModelConfig:
     scm_mode: str = "axial"
 
     def __post_init__(self):
-        if self.n_fourier < 0:
-            raise ConfigError(f"n_fourier must be >= 0, got {self.n_fourier}")
+        for name, low, high in (("channels", 1, MAX_CHANNELS),
+                                ("n_fourier", 0, MAX_FOURIER),
+                                ("grid_size", 1, MAX_GRID_SIZE)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {value}")
         if self.s_ref < 1:
             raise ConfigError(f"s_ref must be >= 1, got {self.s_ref}")
-        if self.grid_size < 1:
-            raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
         if not 0 <= self.lambda_sem < math.inf:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_sem}")
         if not 0 < self.nms_sigma < math.inf:
             raise ConfigError(f"nms_sigma must be finite and > 0, got {self.nms_sigma}")
-        if self.channels < 1 or self.k_thing < 1 or self.k_stuff < 0:
-            raise ConfigError("channels and category counts must be positive")
+        if self.k_thing < 1 or self.k_stuff < 0:
+            raise ConfigError("category counts must be positive")
         for name in ("pre_nms_score", "post_nms_score", "stuff_min_area"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -194,6 +194,17 @@ class TestConfigMerging:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("key", ["channels", "n_fourier", "grid_size"])
+    def test_oversized_model_exits_2(self, tmp_path, dataset, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=100000\n")
+        proc = run_module("train", "--config", str(cfg), "--data", str(dataset),
+                          "--out", str(tmp_path / "o"))
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith(f"error: {key} must be in [") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_resolved_cfg_reproduces_the_run(self, tmp_path, dataset):
         out = tmp_path / "again"
         rc = main(["gen", "--config", str(dataset / "resolved.cfg"),
@@ -278,6 +289,7 @@ class TestTrain:
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {meta}: ")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # it diverges on purpose
     def test_divergence_aborts_with_numeric_exit(self, tmp_path, dataset,
                                                  small_cfg, capsys):
         out = tmp_path / "boom"
@@ -290,6 +302,15 @@ class TestTrain:
         assert 1 <= len(lines) - 1 < 3
         assert (out / "checkpoint.bin").is_file()
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_epochs_rejected(self, tmp_path, dataset, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--out", str(out),
+                     "--epochs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epochs must be >= 1, got 0\n"
+        assert "saved" not in captured.out
+        assert not out.exists()
 
 
 class TestEval:

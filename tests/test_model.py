@@ -7,6 +7,9 @@ from corrseg import autodiff as ad
 from corrseg.autodiff import Tensor
 from corrseg.errors import ConfigError, ShapeError
 from corrseg.model import (
+    MAX_CHANNELS,
+    MAX_FOURIER,
+    MAX_GRID_SIZE,
     STRIDE,
     InstancePrediction,
     ModelConfig,
@@ -48,10 +51,16 @@ class TestConfig:
         dict(channels=0),
         dict(pre_nms_score=1.5),
         dict(scm_mode="diagonal"),
+        dict(channels=MAX_CHANNELS + 1),
+        dict(n_fourier=MAX_FOURIER + 1),
+        dict(grid_size=MAX_GRID_SIZE + 1),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
+
+    def test_size_limits_are_inclusive(self):
+        ModelConfig(channels=MAX_CHANNELS, n_fourier=MAX_FOURIER, grid_size=MAX_GRID_SIZE)
 
 
 class TestBackbone:
