@@ -80,16 +80,13 @@ def downsample_semantic(semantic: np.ndarray, factor: int = STRIDE) -> np.ndarra
     return semantic[off::factor, off::factor]
 
 
-CENTER_REGION_SCALE = 1.0
-
-
 def _instance_geometry(mask: np.ndarray):
     ys, xs = np.nonzero(mask)
     if ys.size == 0:
         return None
     cy, cx = ys.mean(), xs.mean()
-    half_h = (ys.max() - ys.min() + 1) * CENTER_REGION_SCALE / 2.0
-    half_w = (xs.max() - xs.min() + 1) * CENTER_REGION_SCALE / 2.0
+    half_h = (ys.max() - ys.min() + 1) / 2.0
+    half_w = (xs.max() - xs.min() + 1) / 2.0
     return cy, cx, half_h, half_w
 
 
@@ -154,7 +151,7 @@ def cate_loss(cate_logits: Tensor, assigned: Assignment) -> Tensor:
     return focal_loss(ad.reshape(cate_logits, (g * g, k_thing)), onehot)
 
 
-def sem_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
+def sem_loss(outputs: ModelOutputs, scene: SyntheticScene) -> Tensor:
     target = downsample_semantic(scene.semantic)
     if target.shape != outputs.sem_logits.shape[:2]:
         raise ValueError(
@@ -168,5 +165,5 @@ def total_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -
     assigned = assign_instances_to_cells(scene, cfg.grid_size)
     parts = mask_loss(outputs.mask_logits, assigned) + cate_loss(outputs.cate_logits, assigned)
     if cfg.lambda_sem != 0.0:
-        parts = parts + sem_loss(outputs, scene, cfg) * cfg.lambda_sem
+        parts = parts + sem_loss(outputs, scene) * cfg.lambda_sem
     return parts

@@ -213,7 +213,7 @@ class TestTotalLoss:
             mask_logits=outputs.mask_logits,
         )
         with pytest.raises(ValueError):
-            losses.sem_loss(bad, scene, cfg)
+            losses.sem_loss(bad, scene)
 
 
 class TestGradients:
@@ -287,6 +287,6 @@ class TestGradients:
 
         def f(t):
             out = ModelOutputs(sem_logits=t, cate_logits=cate, mask_logits=masks)
-            return losses.sem_loss(out, self.scene, self.cfg)
+            return losses.sem_loss(out, self.scene)
 
         assert check_gradients(f, Tensor(x, requires_grad=True)) < GRAD_TOL
