@@ -153,6 +153,16 @@ class TestFusePanoptic:
         assert np.all(fused.instance[0:4] == 1)
         assert np.all(fused.instance[4:6] == 2)
 
+    def test_painting_follows_score_not_input_order(self):
+        cfg = fusion_cfg()
+        semantic = np.full((8, 8), 3, dtype=np.int64)
+        a = box_mask(8, 8, 0, 4, 0, 8)
+        b = box_mask(8, 8, 2, 6, 0, 8)
+        fused = fuse_panoptic(prediction([a, b], [0, 1], [0.8, 0.9]), semantic, cfg)
+        assert np.all(fused.category[2:6] == 1)
+        assert np.all(fused.category[0:2] == 0)
+        assert np.all(fused.instance[2:6] == 1)
+
     def test_every_pixel_assigned_exactly_once(self):
         cfg = fusion_cfg()
         rng = SplitMix64(7)
