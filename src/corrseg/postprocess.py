@@ -2,11 +2,12 @@
 
 Both steps read the decoder's (n, H, W) bool mask stack as it is; masks
 were thresholded once, at decode.  Matrix NMS rescales scores in one
-shot instead of dropping masks: each mask's score is multiplied by a gaussian decay driven by its worst overlap
-with any higher-scored mask of the same category, compensated by how much
-that suppressor is itself suppressed.  Fusion then paints kept instances
-in score order onto an empty canvas, fills the rest from the semantic
-argmax, and voids out tiny stuff regions and leftover thing-class pixels.
+shot instead of dropping masks: each mask's score is multiplied by a
+gaussian decay driven by its worst overlap with any higher-scored mask
+of the same category, compensated by how much that suppressor is itself
+suppressed.  Fusion then paints kept instances in score order onto an
+empty canvas, fills the rest from the semantic argmax, and voids out
+tiny stuff regions and leftover thing-class pixels.
 """
 
 from __future__ import annotations

@@ -59,9 +59,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
 
-    def test_size_limits_are_inclusive(self):
-        ModelConfig(channels=MAX_CHANNELS, n_fourier=MAX_FOURIER, grid_size=MAX_GRID_SIZE)
-
 
 class TestBackbone:
     def test_quarters_resolution(self):
