@@ -33,6 +33,7 @@ from .icm import make_reference_grid
 from .metrics import PQResult
 from .model import STRIDE, ModelConfig, PanopticModel
 from .rng import SplitMix64
+from .scm import check_global_size
 from .synth import SceneConfig, SyntheticScene, generate_scene
 from .train import evaluate_scenes, fit
 
@@ -165,10 +166,13 @@ def run_ablation(
             f"{len(held_out)} held-out"
         )
 
+    # A too-fine reference grid or a too-large global-mode feature map
+    # fails here, before any variant trains.
+    hf, wf = scenes[0].height // STRIDE, scenes[0].width // STRIDE
     if {"icm", "scm_icm"} & set(variants):
-        # A too-fine reference grid fails here, before any variant trains.
-        make_reference_grid(scenes[0].height // STRIDE, scenes[0].width // STRIDE,
-                            base_cfg.s_ref)
+        make_reference_grid(hf, wf, base_cfg.s_ref)
+    if base_cfg.scm_mode == "global" and {"scm", "scm_icm"} & set(variants):
+        check_global_size(hf, wf)
 
     rows: List[Dict[str, object]] = []
     for variant in variants:

@@ -427,13 +427,22 @@ def take(a: TensorLike, key) -> Tensor:
     """``a[key]`` for any numpy key: slices, integers or integer arrays.
 
     The gradient scatter-adds back, so an entry picked more than once
-    by an integer-array key receives the sum of its gradients.
+    by an integer-array key receives the sum of its gradients.  A basic
+    key (integers, slices, Ellipsis) picks each entry at most once, so
+    its gradient is one in-place add into the view.
     """
     a = as_tensor(a)
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(k is Ellipsis or isinstance(k, slice)
+                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                for k in parts)
 
     def grad_fn(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] += g
+        else:
+            np.add.at(full, key, g)
         a._accum(full)
 
     return _make(a.data[key], (a,), grad_fn, a.requires_grad)
@@ -505,6 +514,70 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
 
     return _make(out_data, (logits, values), grad_fn,
                  logits.requires_grad or values.requires_grad)
+
+
+def _outer_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Max over (y, x) of ``rows[u, y] * cols[u, x]``, per u, in O(H + W).
+
+    The largest product pairs an extreme of one side with an extreme of
+    the other, and rounding is monotone, so the largest rounded product
+    is among the four rounded extreme products.
+    """
+    r_hi, r_lo = rows.max(axis=1), rows.min(axis=1)
+    c_hi, c_lo = cols.max(axis=1), cols.min(axis=1)
+    return np.maximum(np.maximum(r_hi * c_hi, r_hi * c_lo),
+                      np.maximum(r_lo * c_hi, r_lo * c_lo))
+
+
+def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
+                         values: TensorLike) -> Tensor:
+    """Softmax over rank-1 logits, times values, as one graph node.
+
+    rows (B, H), cols (B, W), values (H*W, C) -> (B, C).  Row u of the
+    logits is the outer product ``rows[u, y] * cols[u, x]`` flattened
+    y-major, which is never a graph tensor.  The node keeps one (B, H*W)
+    buffer E = exp(logits - rowmax) and the row sums s, and returns
+    (E @ values) / s.  With gs = G / s: dvalues = E^T gs and
+    dlogits = E * (gs values^T - rowsum(gs * out)), which reaches rows
+    and cols as two batched matrix-vector products with cols and rows.
+    """
+    rows, cols, values = as_tensor(rows), as_tensor(cols), as_tensor(values)
+    if rows.ndim != 2 or cols.ndim != 2 or values.ndim != 2:
+        raise ShapeError(
+            f"outer_softmax_matmul expects 2d operands, got "
+            f"{rows.shape}, {cols.shape}, {values.shape}"
+        )
+    b, h = rows.shape
+    w = cols.shape[1]
+    if cols.shape[0] != b or values.shape[0] != h * w:
+        raise ShapeError(
+            f"outer_softmax_matmul shapes incompatible: {rows.shape} x "
+            f"{cols.shape} @ {values.shape}"
+        )
+    e = np.multiply(rows.data[:, :, None], cols.data[:, None, :])
+    e -= _outer_max(rows.data, cols.data)[:, None, None]
+    np.exp(e, out=e)
+    e = e.reshape(b, h * w)
+    s = e.sum(axis=1, keepdims=True)
+    out_data = e @ values.data
+    out_data /= s
+
+    def grad_fn(g):
+        gs = g / s
+        if values.requires_grad:
+            values._accum(e.T @ gs)
+        if rows.requires_grad or cols.requires_grad:
+            dlogits = gs @ values.data.T
+            dlogits -= (gs * out_data).sum(axis=1, keepdims=True)
+            dlogits *= e
+            dlogits = dlogits.reshape(b, h, w)
+            if rows.requires_grad:
+                rows._accum(np.matmul(dlogits, cols.data[:, :, None])[:, :, 0])
+            if cols.requires_grad:
+                cols._accum(np.matmul(rows.data[:, None, :], dlogits)[:, 0, :])
+
+    return _make(out_data, (rows, cols, values), grad_fn,
+                 rows.requires_grad or cols.requires_grad or values.requires_grad)
 
 
 # -- convolution ---------------------------------------------------------------

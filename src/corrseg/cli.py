@@ -35,7 +35,7 @@ from .checkpoint import (
 from .corrfn import corr_profile
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .metrics import PqAccumulator
-from .model import InstancePrediction, ModelConfig, PanopticModel
+from .model import STRIDE, InstancePrediction, ModelConfig, PanopticModel
 from .rng import SplitMix64
 from .synth import (
     SceneConfig,
@@ -300,6 +300,13 @@ def _load_dataset(root: Path) -> List[SyntheticScene]:
     return [load_scene(path) for _, path in _scene_dirs(root)]
 
 
+def _check_global_size(cfg: ModelConfig, scenes: Sequence[SyntheticScene]) -> None:
+    """Refuse scenes too large for global-mode SCM before building anything."""
+    if cfg.use_scm and cfg.scm_mode == "global":
+        for scene in scenes:
+            scm_mod.check_global_size(scene.height // STRIDE, scene.width // STRIDE)
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -339,6 +346,7 @@ def cmd_train(merged: Dict[str, object]) -> int:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))
     cfg = _model_config(merged)
+    _check_global_size(cfg, scenes)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -382,6 +390,8 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))
     cfg = _model_config(merged)
+    if not merged["oracle"]:
+        _check_global_size(cfg, scenes)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -434,13 +444,14 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     else:
         scene_path = scene_dir(data, int(merged["seed"]))
     cfg = _model_config(merged)
+    scene = load_scene(scene_path)
+    _check_global_size(cfg, [scene])
     out = Path(merged["out"])
     write_resolved(merged, out)
 
     arrays = load_checkpoint(merged["checkpoint"])
     model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
     load_model_state(model, arrays, str(merged["checkpoint"]))
-    scene = load_scene(scene_path)
 
     with no_grad():
         features = model.backbone(scene_image(scene))

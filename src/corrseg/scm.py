@@ -6,13 +6,16 @@ resulting correlations as aggregation weights in place of dot-product
 attention.  Two aggregation modes:
 
 - global: softmax over all H*W locations of the separable 2D correlation,
-  cost O((HW)^2 C);
+  cost O((HW)^2 C).  Each location's logits are the outer product of its
+  vertical and horizontal profiles, so the softmax and the weighted sum
+  are one ``autodiff.outer_softmax_matmul`` node that takes the two
+  profiles; it keeps one (HW, HW) buffer, and the (HW)^2 logits and
+  their gradient never become graph tensors.  Feature maps above
+  ``MAX_GLOBAL_LOCATIONS`` locations are refused;
 - axial (default): independent softmaxes along the row and the column of
-  each location, summed, cost O(HW (H+W) C).
-
-Each softmax and the weighted sum it feeds are one graph node,
-``autodiff.softmax_matmul``, which keeps only the softmax weights for
-the backward pass.
+  each location, summed, cost O(HW (H+W) C).  Each softmax and the
+  weighted sum it feeds are one ``autodiff.softmax_matmul`` node, which
+  keeps only the softmax weights for the backward pass.
 
 Counting only the weighted feature sums, the dominant term of each mode,
 one aggregation takes exactly (HW)^2 C (global) or HW (H+W) C (axial)
@@ -30,8 +33,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corrfn import CorrParamField, corr_profile
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
+
+# Global mode holds (HW, HW) float64 buffers: 4096 locations is 128 MiB
+# each, reached by 256x256 scenes at the backbone's stride of 4.
+MAX_GLOBAL_LOCATIONS = 4096
 
 
 @dataclass
@@ -92,15 +99,25 @@ def _profiles(field: CorrParamField, height: int, width: int):
     return hor, ver  # (H, W, W) and (H, W, H)
 
 
+def check_global_size(height: int, width: int) -> None:
+    """Refuse a global-mode feature map above MAX_GLOBAL_LOCATIONS."""
+    if height * width > MAX_GLOBAL_LOCATIONS:
+        raise ConfigError(
+            f"global-mode SCM allows at most {MAX_GLOBAL_LOCATIONS} feature-map "
+            f"locations, got {height}x{width}; use scm_mode=axial or smaller scenes"
+        )
+
+
 def aggregate_global(features: Tensor, field: CorrParamField) -> Tensor:
     """Softmax-weighted sum over all locations, weights from 2D correlations."""
     _require_matching(features, field)
     h, w, c = features.shape
+    check_global_size(h, w)
     hor, ver = _profiles(field, h, w)
     # Per location, the outer product of its column and row profiles.
-    cor2d = ad.reshape(ver, (h * w, h, 1)) @ ad.reshape(hor, (h * w, 1, w))
-    out = ad.softmax_matmul(ad.reshape(cor2d, (h * w, h * w)),
-                            ad.reshape(features, (h * w, c)))
+    out = ad.outer_softmax_matmul(ad.reshape(ver, (h * w, h)),
+                                  ad.reshape(hor, (h * w, w)),
+                                  ad.reshape(features, (h * w, c)))
     return ad.reshape(out, (h, w, c))
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from corrseg import ablation
 from corrseg.ablation import (
     CSV_HEADER,
     VARIANTS,
@@ -16,8 +17,10 @@ from corrseg.ablation import (
     write_report,
 )
 from corrseg.autodiff import Tensor
+from corrseg.errors import ConfigError
 from corrseg.model import ModelConfig
 from corrseg.rng import SplitMix64
+from corrseg.synth import SceneConfig
 
 SMALL = dict(channels=4, n_fourier=2, s_ref=2, grid_size=2)
 
@@ -168,6 +171,15 @@ class TestRunAblation:
         with pytest.raises(ValueError, match="split"):
             run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001,
                          train_fraction=1.0)
+
+    def test_too_large_global_mode_fails_before_training(self, monkeypatch):
+        scenes = make_twin_dataset(
+            3, seed=80, scene_cfg=SceneConfig(height=272, width=272, twin_mode=True,
+                                              min_things=2, max_things=2))
+        monkeypatch.setattr(ablation, "fit", None)  # any training call would fail
+        with pytest.raises(ConfigError, match="global-mode SCM"):
+            run_ablation(scenes, ModelConfig(scm_mode="global", **SMALL), epochs=1,
+                         lr=0.001, train_fraction=0.6)
 
     def test_subset_of_variants(self, tmp_path):
         scenes = make_twin_dataset(3, seed=60)

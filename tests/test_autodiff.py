@@ -135,6 +135,19 @@ class TestStructural:
         key = np.array([2, 0, 2, 4])
         assert ad.check_gradients(lambda t: ad.mul(t[key], w).sum(), x) < TOL
 
+    @pytest.mark.parametrize("key", [
+        np.s_[1:3], np.s_[..., 0:1], np.s_[2, ::2], np.s_[-1, 1:], np.s_[np.int64(1)],
+    ])
+    def test_getitem_basic_key_grad_matches_scatter_add(self, key):
+        # Bitwise, with signed zeros in the incoming gradient.
+        g = rand((4, 5), seed=23)[key].copy()
+        g.flat[::2] = -0.0
+        x = ad.Tensor(rand((4, 5), seed=24), requires_grad=True)
+        ad.mul(x[key], g).sum().backward()
+        want = np.zeros((4, 5))
+        np.add.at(want, key, g)
+        np.testing.assert_array_equal(x.grad.view(np.int64), want.view(np.int64))
+
     def test_getitem_repeated_index_accumulates(self):
         x = ad.Tensor(np.zeros(3), requires_grad=True)
         x[np.array([1, 1, 2])].sum().backward()
@@ -210,6 +223,89 @@ class TestSoftmaxMatmul:
             ad.softmax_matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
         with pytest.raises(ShapeError):
             ad.softmax_matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3, 4))))
+
+
+def outer_then_softmax_matmul(rows, cols, values):
+    """The unfused composition: the outer product as a batched matmul."""
+    (b, h), w = rows.shape, cols.shape[1]
+    logits = ad.reshape(ad.reshape(rows, (b, h, 1)) @ ad.reshape(cols, (b, 1, w)), (b, h * w))
+    return ad.softmax_matmul(logits, values)
+
+
+def mixed_sign_with_zeros(shape, seed):
+    """Uniform entries of both signs, with every third one set to zero."""
+    x = rand(shape, seed=seed, lo=-3, hi=3)
+    x.reshape(-1)[::3] = 0.0
+    return x
+
+
+class TestOuterSoftmaxMatmul:
+    B, H, W, C = 5, 3, 4, 2
+
+    def operands(self, seed):
+        return (mixed_sign_with_zeros((self.B, self.H), seed),
+                mixed_sign_with_zeros((self.B, self.W), seed + 1),
+                rand((self.H * self.W, self.C), seed=seed + 2))
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_fd_each_argument(self, arg):
+        operands = [ad.Tensor(x) for x in self.operands(seed=50)]
+        w = ad.Tensor(rand((self.B, self.C), seed=53))
+
+        def prog(t):
+            args = list(operands)
+            args[arg] = t
+            return ad.mul(ad.outer_softmax_matmul(*args), w).sum()
+
+        assert ad.check_gradients(prog, operands[arg]) < TOL
+
+    def test_matches_outer_then_softmax_matmul(self):
+        w = rand((self.B, self.C), seed=57)
+        results = []
+        for fn in (ad.outer_softmax_matmul, outer_then_softmax_matmul):
+            args = [ad.Tensor(x, requires_grad=True) for x in self.operands(seed=54)]
+            out = fn(*args)
+            ad.mul(out, w).sum().backward()
+            results.append((out.data, *(t.grad for t in args)))
+        # Relative to each array's largest entry: the gradients' small
+        # entries come from cancellation and differ at their own last ulps.
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_large_logits_stay_finite(self):
+        rows = ad.Tensor(rand((self.B, self.H), seed=58, lo=-1e3, hi=1e3), requires_grad=True)
+        cols = ad.Tensor(rand((self.B, self.W), seed=59, lo=-1e3, hi=1e3), requires_grad=True)
+        values = ad.Tensor(rand((self.H * self.W, self.C), seed=60), requires_grad=True)
+        out = ad.outer_softmax_matmul(rows, cols, values)
+        out.sum().backward()
+        for x in (out.data, rows.grad, cols.grad, values.grad):
+            assert np.all(np.isfinite(x))
+        # Logits ~1e6 apart: each output row is the value row of its argmax.
+        logits = (rows.data[:, :, None] * cols.data[:, None, :]).reshape(self.B, -1)
+        np.testing.assert_allclose(out.data, values.data[logits.argmax(axis=1)], atol=1e-12)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ad.outer_softmax_matmul(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((12, 1)))
+        with pytest.raises(ShapeError):
+            ad.outer_softmax_matmul(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((11, 1)))
+        with pytest.raises(ShapeError):
+            ad.outer_softmax_matmul(np.zeros((2, 3, 1)), np.zeros((2, 4)), np.zeros((12, 1)))
+
+
+_LOGIT_FACTORS = st.floats(-1e150, 1e150)  # products stay finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5), data=st.data())
+def test_outer_max_is_full_row_max(b, h, w, data):
+    rows = np.array(data.draw(st.lists(_LOGIT_FACTORS, min_size=b * h, max_size=b * h)))
+    cols = np.array(data.draw(st.lists(_LOGIT_FACTORS, min_size=b * w, max_size=b * w)))
+    rows, cols = rows.reshape(b, h), cols.reshape(b, w)
+    full = (rows[:, :, None] * cols[:, None, :]).reshape(b, -1).max(axis=1)
+    # + 0.0 maps -0.0 to 0.0; exp(logit - max) is the same for either zero.
+    got = ad._outer_max(rows, cols) + 0.0
+    np.testing.assert_array_equal(got.view(np.int64), (full + 0.0).view(np.int64))
 
 
 class TestConv2d:

@@ -173,6 +173,7 @@ class TestConfigMerging:
         ("ablate", "train_fraction=1"),
         ("train", "s_ref=1000\nuse_icm=1"),
         ("ablate", "s_ref=1000"),
+        ("ablate", "height=272\nwidth=272\nscm_mode=global"),
         ("gen", "height=100000000000000000000"),
         ("ablate", "height=100000000000000000000"),
         ("ablate", "lr=nan"),
@@ -295,6 +296,36 @@ class TestTrain:
         assert 1 <= len(lines) - 1 < 3
         assert (out / "checkpoint.bin").is_file()
         assert "error:" in capsys.readouterr().err
+
+
+class TestGlobalModeSize:
+    """A 68x68 feature map (272x272 scenes) is over scm.MAX_GLOBAL_LOCATIONS."""
+
+    @pytest.fixture(scope="class")
+    def large_dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("large")
+        (root / "large.cfg").write_text("height=272\nwidth=272\n")
+        rc = main(["gen", "--config", str(root / "large.cfg"), "--out", str(root / "data"),
+                   "--count", "1", "--seed", "3"])
+        assert rc == 0
+        return root / "data"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "viz"])
+    def test_exits_2_before_reading_a_checkpoint_or_writing(
+            self, tmp_path, large_dataset, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--data", str(large_dataset), "--out", str(out),
+                   "--use-scm", "--scm-mode", "global", "--epochs", "1",
+                   "--checkpoint", str(tmp_path / "missing.bin"),
+                   "--point", "0,0", "--branch", "scm"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: global-mode SCM allows at most 4096") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_oracle_eval_is_not_refused(self, tmp_path, large_dataset):
+        assert main(["eval", "--data", str(large_dataset), "--out", str(tmp_path / "o"),
+                     "--use-scm", "--scm-mode", "global", "--oracle"]) == 0
 
 
 class TestEval:

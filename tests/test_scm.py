@@ -4,7 +4,7 @@ import pytest
 from corrseg import autodiff as ad
 from corrseg import corrfn as cf
 from corrseg import scm
-from corrseg.errors import ShapeError
+from corrseg.errors import ConfigError, ShapeError
 from corrseg.rng import SplitMix64
 from oracles import per_harmonic_profile
 
@@ -112,6 +112,23 @@ class TestAggregateGlobal:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="does not match"):
             scm.aggregate_global(ad.Tensor(np.zeros((3, 3, 2))), rand_field(3, 4, 1, seed=10))
+
+    def test_no_graph_tensor_holds_the_pairwise_logits(self):
+        h, w = 4, 5
+        features = ad.Tensor(SplitMix64(30).uniform_array((h, w, 2), -1, 1), requires_grad=True)
+        field = rand_field(h, w, 2, seed=31)
+        field.hor.requires_grad = field.ver.requires_grad = True
+        graph = scm.aggregate_global(features, field)._topo_order()
+        assert {id(features), id(field.hor), id(field.ver)} <= {id(t) for t in graph}
+        assert max(t.size for t in graph) < (h * w) ** 2
+
+    def test_too_many_locations_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(scm, "_profiles", None)  # any call would fail
+        side = int(np.sqrt(scm.MAX_GLOBAL_LOCATIONS))
+        features = ad.Tensor(np.zeros((side + 1, side, 1)))
+        with pytest.raises(ConfigError, match="global-mode SCM allows at most"):
+            scm.aggregate_global(features, constant_field(side + 1, side, 0.0, 0.0))
+        scm.check_global_size(side, side)
 
 
 class TestAggregateAxial:
