@@ -35,7 +35,7 @@ from .model import STRIDE, ModelConfig, PanopticModel
 from .rng import SplitMix64
 from .scm import check_global_size
 from .synth import SceneConfig, SyntheticScene, generate_scene
-from .train import evaluate_scenes, fit
+from .train import evaluate_scenes, fit, is_twin_scene
 
 VARIANTS = ("baseline", "scm", "icm", "scm_icm", "coords", "sinusoid")
 
@@ -134,7 +134,7 @@ def make_twin_dataset(
     while len(scenes) < n_scenes:
         scene = generate_scene(replace(base, twin_mode=True, seed=seed + offset))
         offset += 1
-        if len(scene.instances) >= 2:
+        if is_twin_scene(scene):
             scenes.append(scene)
     return scenes
 

@@ -2,10 +2,12 @@
 
 Configuration is merged from three layers with fixed precedence: a
 command-line flag beats a config-file entry, which beats the built-in
-default.  Config files use the same ``key=value`` line format as scene
-manifests; unknown keys are rejected.  Every command writes the fully
-merged configuration to ``<out>/resolved.cfg`` in a fixed key order, so
-any run can be reproduced by passing that file back via ``--config``.
+default.  The keys are the run settings plus every ModelConfig field and
+every SceneConfig field but its per-scene seed.  Config files use the
+same ``key=value`` line format as scene manifests; unknown keys are
+rejected.  Every command writes the fully merged configuration to
+``<out>/resolved.cfg`` in a fixed key order, so any run can be
+reproduced by passing that file back via ``--config``.
 
 Exit codes: 0 on success, 2 for usage or configuration errors, 3 for
 malformed or missing data, 4 for a numerical failure during training.
@@ -14,9 +16,9 @@ malformed or missing data, 4 for a numerical failure during training.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +48,7 @@ from .synth import (
     save_pgm,
     save_scene,
     scene_dir,
+    write_keyvalue,
 )
 from .train import (
     evaluate_scenes,
@@ -57,62 +60,29 @@ from .train import (
     twins_covered,
 )
 
-_RUN_KEYS = (
-    "seed", "train_seed", "epochs", "lr", "count", "scenes",
-    "train_fraction", "out", "data", "checkpoint", "point", "branch",
-    "oracle", "force",
-)
-_MODEL_KEYS = (
-    "n_fourier", "s_ref", "lambda", "channels", "grid_size", "k_thing",
-    "k_stuff", "pre_nms_score", "post_nms_score", "stuff_min_area",
-    "nms_sigma", "use_scm", "use_icm", "scm_mode",
-)
-_SCENE_KEYS = (
-    "height", "width", "min_things", "max_things", "shapes",
-    "color_jitter", "stuff_bands", "twin_mode",
-)
-_KEY_ORDER = ("command",) + _RUN_KEYS + _MODEL_KEYS + _SCENE_KEYS
-
-_INT_KEYS = frozenset({
-    "seed", "train_seed", "epochs", "count", "scenes", "n_fourier", "s_ref",
-    "channels", "grid_size", "k_thing", "k_stuff", "height", "width",
-    "min_things", "max_things", "stuff_bands",
-})
-_FLOAT_KEYS = frozenset({
-    "lr", "train_fraction", "lambda", "pre_nms_score", "post_nms_score",
-    "stuff_min_area", "nms_sigma", "color_jitter",
-})
-_BOOL_KEYS = frozenset({"oracle", "force", "use_scm", "use_icm", "twin_mode"})
-
-LOSS_CSV_HEADER = ("epoch", "loss")
+# Run settings in resolved.cfg order.  Every ModelConfig field and every
+# SceneConfig field but the per-scene seed follow them as keys of their own.
+_RUN_DEFAULTS: Dict[str, object] = {
+    "seed": None, "train_seed": 0, "epochs": 128, "lr": 0.01, "count": None,
+    "scenes": 200, "train_fraction": 0.8, "out": None, "data": None,
+    "checkpoint": None, "point": None, "branch": None, "oracle": False,
+    "force": False,
+}
+_MODEL_DEFAULTS = {("lambda" if name == "lambda_sem" else name): value
+                   for name, value in asdict(ModelConfig()).items()}
+_SCENE_DEFAULTS = {name: (",".join(value) if name == "shapes" else value)
+                   for name, value in asdict(SceneConfig()).items() if name != "seed"}
+_DEFAULTS = {"command": None, **_RUN_DEFAULTS, **_MODEL_DEFAULTS, **_SCENE_DEFAULTS}
+_KEY_ORDER = tuple(_DEFAULTS)
+# A key's value has its default's type; of the keys that default to None,
+# seed and count are integers and the rest strings.
+_TYPES = {key: str if value is None else type(value) for key, value in _DEFAULTS.items()}
+_TYPES.update(seed=int, count=int)
 
 
-def _defaults() -> Dict[str, object]:
-    model = ModelConfig()
-    scene = SceneConfig()
-    merged: Dict[str, object] = {
-        "command": None,
-        "seed": None,
-        "train_seed": 0,
-        "epochs": 128,
-        "lr": 0.01,
-        "count": None,
-        "scenes": 200,
-        "train_fraction": 0.8,
-        "out": None,
-        "data": None,
-        "checkpoint": None,
-        "point": None,
-        "branch": None,
-        "oracle": False,
-        "force": False,
-    }
-    for key in _MODEL_KEYS:
-        merged[key] = getattr(model, "lambda_sem" if key == "lambda" else key)
-    for key in _SCENE_KEYS:
-        value = getattr(scene, key)
-        merged[key] = ",".join(value) if key == "shapes" else value
-    return merged
+def _field(key: str) -> str:
+    """The ModelConfig field and argparse dest behind a config key."""
+    return "lambda_sem" if key == "lambda" else key
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -128,26 +98,13 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if raw == "":
         return None
+    kind = _TYPES[key]
+    if kind is bool:
+        return _parse_bool(key, raw)
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        return _parse_bool(key, raw)
-    return raw
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--s-ref", type=int)
         cmd.add_argument("--use-scm", action="store_const", const=True)
         cmd.add_argument("--use-icm", action="store_const", const=True)
-        cmd.add_argument("--scm-mode", choices=("global", "axial"))
+        cmd.add_argument("--scm-mode", choices=tuple(scm_mod.AGGREGATORS))
         cmd.add_argument("--force", action="store_const", const=True,
                          help="allow writing into a non-empty directory")
         cmd.add_argument("--count", type=int, help="number of scenes to generate")
@@ -196,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(args: argparse.Namespace) -> Dict[str, object]:
-    merged = _defaults()
-    merged["command"] = args.command
+    merged = dict(_DEFAULTS, command=args.command)
     if args.config is not None:
         path = Path(args.config)
         try:
@@ -215,10 +171,8 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
             if value is None and merged[key] is not None:
                 raise ConfigError(f"{path}: {key} needs a value")
             merged[key] = value
-    for key in _KEY_ORDER:
-        if key == "command":
-            continue
-        value = getattr(args, "lambda_sem" if key == "lambda" else key, None)
+    for key in _KEY_ORDER[1:]:
+        value = getattr(args, _field(key), None)
         if value is not None:
             merged[key] = value
     _check_run_values(merged)
@@ -249,34 +203,19 @@ def _require(merged: Dict[str, object], *keys: str) -> None:
 
 def write_resolved(merged: Dict[str, object], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key}={_format_value(merged[key])}" for key in _KEY_ORDER]
-    (out_dir / "resolved.cfg").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8")
+    write_keyvalue(out_dir / "resolved.cfg", [(key, merged[key]) for key in _KEY_ORDER])
 
 
 def _model_config(merged: Dict[str, object]) -> ModelConfig:
-    kwargs = {
-        ("lambda_sem" if key == "lambda" else key): merged[key]
-        for key in _MODEL_KEYS
-    }
-    return ModelConfig(**kwargs)
+    return ModelConfig(**{_field(key): merged[key] for key in _MODEL_DEFAULTS})
 
 
 def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
     shapes = tuple(
         part.strip() for part in str(merged["shapes"]).split(",") if part.strip()
     )
-    return SceneConfig(
-        height=merged["height"],
-        width=merged["width"],
-        min_things=merged["min_things"],
-        max_things=merged["max_things"],
-        shapes=shapes,
-        color_jitter=merged["color_jitter"],
-        stuff_bands=merged["stuff_bands"],
-        twin_mode=merged["twin_mode"],
-        seed=seed,
-    )
+    return SceneConfig(**{key: merged[key] for key in _SCENE_DEFAULTS if key != "shapes"},
+                       shapes=shapes, seed=seed)
 
 
 def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
@@ -321,23 +260,16 @@ def cmd_gen(merged: Dict[str, object]) -> int:
     for s in range(seed, seed + count):
         scene = generate_scene(_scene_config(merged, seed=s))
         save_scene(scene, scene_dir(out, s))
-    manifest = [("count", count), ("first_seed", seed)]
-    manifest += [(key, merged[key]) for key in _SCENE_KEYS]
-    (out / "dataset.meta").write_text(
-        "\n".join(f"{key}={_format_value(value)}" for key, value in manifest)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_keyvalue(out / "dataset.meta", [("count", count), ("first_seed", seed)]
+                   + [(key, merged[key]) for key in _SCENE_DEFAULTS])
     print(f"wrote {count} scenes under {out}")
     return 0
 
 
-def _write_losses(path: Path, losses: Sequence[float]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOSS_CSV_HEADER)
-        for epoch, loss in enumerate(losses):
-            writer.writerow([epoch, repr(float(loss))])
+def _write_series(path: Path, index: str, name: str, values: Sequence[float]) -> None:
+    """Two-column CSV: a 0-based index, then each value as its float repr."""
+    path.write_text(f"{index},{name}\n" + "".join(
+        f"{i},{float(value)!r}\n" for i, value in enumerate(values)), encoding="utf-8")
 
 
 def cmd_train(merged: Dict[str, object]) -> int:
@@ -365,9 +297,9 @@ def cmd_train(merged: Dict[str, object]) -> int:
             train_seed, on_epoch=on_epoch)
     except NumericsError:
         # Keep the per-epoch record and the last finite-loss checkpoint.
-        _write_losses(out / "losses.csv", losses)
+        _write_series(out / "losses.csv", "epoch", "loss", losses)
         raise
-    _write_losses(out / "losses.csv", losses)
+    _write_series(out / "losses.csv", "epoch", "loss", losses)
     print(f"saved {checkpoint_path}")
     return 0
 
@@ -487,24 +419,12 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     else:
         image = np.full(corr_map.shape, 128, dtype=np.uint8)
     save_pgm(out / "corr_map.pgm", image)
-    sidecar = [
-        ("min", repr(lo)),
-        ("max", repr(hi)),
-        ("point", f"{x},{y}"),
-        ("branch", branch),
-        ("height", height),
-        ("width", width),
-    ]
-    (out / "corr_map.meta").write_text(
-        "\n".join(f"{key}={value}" for key, value in sidecar) + "\n",
-        encoding="utf-8",
-    )
-    for name, values in (("profile_hor.csv", hor), ("profile_ver.csv", ver)):
-        with (out / name).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("position", "value"))
-            for position, value in enumerate(values):
-                writer.writerow([position, repr(float(value))])
+    write_keyvalue(out / "corr_map.meta", [
+        ("min", lo), ("max", hi), ("point", f"{x},{y}"), ("branch", branch),
+        ("height", height), ("width", width),
+    ])
+    _write_series(out / "profile_hor.csv", "position", "value", hor)
+    _write_series(out / "profile_ver.csv", "position", "value", ver)
     print(f"wrote corr_map.pgm ({width}x{height}) to {out}")
     return 0
 

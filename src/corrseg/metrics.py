@@ -145,11 +145,3 @@ class PqAccumulator:
             pq_stuff=mean(stuff),
             per_class=counted,
         )
-
-
-def compute_pq(
-    pred: PanopticSegmentation, gt: PanopticSegmentation, k_thing: int = 3
-) -> PQResult:
-    acc = PqAccumulator(k_thing=k_thing)
-    acc.add(pred, gt)
-    return acc.result()

@@ -79,7 +79,7 @@ class ModelConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.scm_mode not in ("global", "axial"):
+        if self.scm_mode not in scm_mod.AGGREGATORS:
             raise ConfigError(f"scm_mode must be global or axial, got {self.scm_mode!r}")
 
     @property

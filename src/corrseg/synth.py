@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -340,8 +340,8 @@ def save_scene(scene: SyntheticScene, directory) -> None:
     save_pgm(directory / "semantic.pgm", scene.semantic.astype(np.uint8))
     for k, (mask, _) in enumerate(scene.instances):
         save_pgm(directory / f"inst_{k}.pgm", mask.astype(np.uint8) * 255)
-    lines = [f"{key}={scene.meta.get(key, '')}" for key in _META_ORDER]
-    (directory / "scene.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_keyvalue(directory / "scene.meta",
+                   [(key, scene.meta.get(key, "")) for key in _META_ORDER])
 
 
 def parse_keyvalue(text: str, source: str = "<string>") -> Dict[str, str]:
@@ -355,6 +355,25 @@ def parse_keyvalue(text: str, source: str = "<string>") -> Dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_keyvalue(path, pairs: Iterable[Tuple[str, object]]) -> None:
+    """Write (key, value) pairs as the lines parse_keyvalue reads: None as
+    an empty value, a bool as 1/0, a float as its repr."""
+    Path(path).write_text(
+        "".join(f"{key}={_format_value(value)}\n" for key, value in pairs),
+        encoding="utf-8",
+    )
 
 
 def _load_plane(path: Path, shape: Tuple[int, int]) -> np.ndarray:

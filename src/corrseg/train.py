@@ -189,8 +189,8 @@ def evaluate_scenes(
 
     Each scene goes through ``infer_panoptic`` once: the fused labeling
     feeds the PQ accumulator, the post-NMS instances ``twins_covered``.
-    Twin scenes are those generated in twin mode with at least two
-    instances; the twin rate is NaN when there are none.
+    Twin scenes are those ``is_twin_scene`` accepts; the twin rate is NaN
+    when there are none.
     """
     acc = PqAccumulator(k_thing=model.cfg.k_thing)
     covered: List[bool] = []
@@ -202,8 +202,24 @@ def evaluate_scenes(
     return acc.result(), twin_rate(covered)
 
 
+def _cropped(mask: np.ndarray) -> np.ndarray:
+    """The mask cut to its bounding box."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return mask[:0, :0]
+    return mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+
+
 def is_twin_scene(scene: SyntheticScene) -> bool:
-    return scene.meta.get("twin_mode") == "1" and len(scene.instances) >= 2
+    """A twin-mode scene whose first two instances are its twin pair: the
+    same category, and masks equal up to translation.  When the second
+    twin finds no room, generation goes on placing other things, so a
+    twin-mode scene can lack the pair."""
+    if scene.meta.get("twin_mode") != "1" or len(scene.instances) < 2:
+        return False
+    (mask_a, category_a), (mask_b, category_b) = scene.instances[:2]
+    return category_a == category_b and np.array_equal(_cropped(mask_a), _cropped(mask_b))
 
 
 def twin_rate(covered: Sequence[bool]) -> float:
@@ -218,7 +234,7 @@ def twins_covered(
     prediction at IoU > 0.5, regardless of the predicted class."""
     if scene.meta.get("twin_mode") != "1":
         raise ValueError("scene was not generated in twin mode")
-    if len(scene.instances) < 2 or scene.instances[0][1] != scene.instances[1][1]:
+    if not is_twin_scene(scene):
         raise ValueError("twin scene is missing its twin pair")
     kept = pred.masks[pred.scores > score_threshold]
     twins = np.stack([mask for mask, _ in scene.instances[:2]])

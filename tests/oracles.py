@@ -9,11 +9,15 @@ packed layout, so a fit feeds straight into `corr_profile`;
 
 `conv2d_grads` differentiates `corrseg.autodiff.conv2d` one output pixel
 and one kernel tap at a time, with no im2col and no padded copy.
+
+`compute_pq` is no oracle: it is the one-pair shorthand for
+`corrseg.metrics.PqAccumulator` that the metric tests call.
 """
 
 import numpy as np
 
 from corrseg.errors import ShapeError
+from corrseg.metrics import PqAccumulator
 
 
 def mirror_extend(c):
@@ -89,3 +93,10 @@ def conv2d_grads(x, kernel, g, stride=1):
                         dx[row, col] += kernel[ty, tx] @ g[i, j]
                         dk[ty, tx] += np.outer(x[row, col], g[i, j])
     return dx, dk
+
+
+def compute_pq(pred, gt, k_thing=3):
+    """PQ of one (prediction, ground truth) pair."""
+    acc = PqAccumulator(k_thing=k_thing)
+    acc.add(pred, gt)
+    return acc.result()

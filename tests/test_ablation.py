@@ -97,6 +97,12 @@ class TestTwinDataset:
             assert len(scene.instances) >= 2
             assert scene.instances[0][1] == scene.instances[1][1]
 
+    def test_skips_scenes_whose_second_twin_found_no_room(self):
+        # Seed 2 places twin A and then a different thing, not twin B.
+        cfg = SceneConfig(height=16, width=16, min_things=2, max_things=3)
+        (scene,) = make_twin_dataset(1, seed=2, scene_cfg=cfg)
+        assert scene.meta["seed"] == "3"
+
     def test_deterministic(self):
         a = make_twin_dataset(3, seed=11)
         b = make_twin_dataset(3, seed=11)

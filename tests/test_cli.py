@@ -20,10 +20,10 @@ import corrseg
 from corrseg import icm
 from corrseg.autodiff import no_grad
 from corrseg.checkpoint import load_checkpoint, load_model_state
-from corrseg.cli import _KEY_ORDER, main
+from corrseg.cli import _DEFAULTS, _KEY_ORDER, main
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
-from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir
+from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir, write_keyvalue
 from corrseg.train import scene_image
 from oracles import per_harmonic_profile
 
@@ -207,6 +207,40 @@ class TestConfigMerging:
         left = dataset / "scenes" / "7" / "image.ppm"
         right = out / "scenes" / "7" / "image.ppm"
         assert left.read_bytes() == right.read_bytes()
+
+    def test_every_key_round_trips(self, tmp_path):
+        """A non-default value for every key is echoed in resolved.cfg, and
+        a rerun from that file writes it again byte for byte."""
+        values = {
+            "seed": "11", "train_seed": "3", "epochs": "7", "lr": "0.25", "count": "0",
+            "scenes": "9", "train_fraction": "0.6", "out": str(tmp_path / "unused"),
+            "data": "some/data", "checkpoint": "some/ck.bin", "point": "2,3",
+            "branch": "icm", "oracle": "1", "force": "1",
+            "n_fourier": "5", "s_ref": "3", "lambda": "0.75", "channels": "8",
+            "grid_size": "3", "k_thing": "2", "k_stuff": "4", "pre_nms_score": "0.2",
+            "post_nms_score": "0.4", "stuff_min_area": "0.125", "nms_sigma": "1.5",
+            "use_scm": "1", "use_icm": "1", "scm_mode": "global",
+            "height": "48", "width": "40", "min_things": "1", "max_things": "3",
+            "shapes": "disk", "color_jitter": "0.1", "stuff_bands": "2", "twin_mode": "1",
+        }
+        assert tuple(values) == _KEY_ORDER[1:]
+        defaults = tmp_path / "defaults.cfg"
+        write_keyvalue(defaults, _DEFAULTS.items())
+        for key, default in parse_keyvalue(defaults.read_text()).items():
+            if key != "command":
+                assert values[key] != default, key
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["gen", "--config", str(cfg), "--out", str(first)]) == 0
+        assert read_resolved(first) == dict(values, command="gen", out=str(first))
+        assert main(["gen", "--config", str(first / "resolved.cfg"), "--out", str(second)]) == 0
+
+        def without_out(out):
+            lines = (out / "resolved.cfg").read_bytes().splitlines(keepends=True)
+            return [line for line in lines if not line.startswith(b"out=")]
+
+        assert without_out(first) == without_out(second)
 
 
 _CONFIG_VALUES = st.one_of(
@@ -408,6 +442,22 @@ class TestEval:
                    "--checkpoint", str(trained / "checkpoint.bin"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("seed, categories", [(2, "2,1"), (50, "0,0")])
+    def test_twin_scene_without_its_pair_is_not_counted(self, tmp_path, seed, categories):
+        # In a 16x16 scene with room for a third thing, the second twin can
+        # fail to fit while another thing takes its place as instance 1.
+        cfg = tmp_path / "twin.cfg"
+        cfg.write_text("height=16\nwidth=16\ntwin_mode=1\nmin_things=2\nmax_things=3\n")
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out", str(data),
+                     "--count", "1", "--seed", str(seed)]) == 0
+        assert load_scene(scene_dir(data, seed)).meta["categories"] == categories
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--data", str(data),
+                     "--oracle", "--out", str(out)]) == 0
+        (row,) = read_report(out)
+        assert row["twin_rate"] == "nan"
 
     def test_twin_rate_reported_on_twin_scenes(self, tmp_path, small_cfg):
         data = tmp_path / "twins"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from corrseg.errors import ShapeError
-from corrseg.metrics import PqAccumulator, compute_pq
+from corrseg.metrics import PqAccumulator
 from corrseg.postprocess import PanopticSegmentation
 from corrseg.rng import SplitMix64
+from oracles import compute_pq
 
 
 def pan(category, instance):

@@ -11,12 +11,15 @@ from corrseg.synth import SceneConfig, generate_scene
 from corrseg.train import (
     evaluate_scenes,
     fit,
+    flip_scene,
     infer_panoptic,
+    is_twin_scene,
     make_optimizer,
     scene_to_panoptic,
     train_epoch,
     twins_covered,
 )
+from oracles import compute_pq
 
 
 def smoke_scenes(count, seed=0, size=32, twin=False):
@@ -47,8 +50,6 @@ class TestGroundTruthConversion:
         assert np.all(gt.category[background] >= 3)
 
     def test_perfect_gt_evaluates_to_unity(self):
-        from corrseg.metrics import compute_pq
-
         scene = smoke_scenes(1, seed=6)[0]
         gt = scene_to_panoptic(scene)
         assert compute_pq(gt, gt).pq == 1.0
@@ -158,9 +159,12 @@ class TestInference:
 
     def test_one_pass_per_scene_twin_rate_over_twin_scenes(self, monkeypatch):
         twins = [generate_scene(SceneConfig(
-            height=32, width=32, twin_mode=True, seed=50 + i,
-        )) for i in range(2)]
-        scenes = smoke_scenes(2, seed=30) + twins
+            height=32, width=32, twin_mode=True, seed=seed,
+        )) for seed in (50, 52)]
+        # Twin-mode scene 51 found no room for its second twin, so the
+        # rate is over the other two.
+        lone = generate_scene(SceneConfig(height=32, width=32, twin_mode=True, seed=51))
+        scenes = smoke_scenes(2, seed=30) + twins + [lone]
         calls = []
 
         def perfect_on_first_twin(model, scene):
@@ -230,6 +234,20 @@ class TestTwinDetection:
         pred = truth_prediction(scene, keep=0)
         with pytest.raises(ValueError):
             twins_covered(pred, scene, 0.3)
+
+    def test_flipped_twin_pair_is_still_a_pair(self):
+        scene = self.twin_scene()
+        assert is_twin_scene(scene)
+        assert is_twin_scene(flip_scene(scene, horizontal=True, vertical=True))
+
+    def test_lone_twin_is_not_a_pair(self):
+        # The second twin found no room; a different thing of the same
+        # category took its place as instance 1.
+        scene = generate_scene(SceneConfig(height=32, width=32, twin_mode=True, seed=51))
+        assert scene.meta["categories"] == "0,0"
+        assert not is_twin_scene(scene)
+        with pytest.raises(ValueError):
+            twins_covered(truth_prediction(scene), scene, 0.3)
 
     def test_untrained_rate_is_zero(self):
         model = smoke_model(seed=12)
