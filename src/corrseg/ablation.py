@@ -29,11 +29,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericsError
-from .icm import make_reference_grid
 from .metrics import PQResult
-from .model import STRIDE, ModelConfig, PanopticModel
+from .model import ModelConfig, PanopticModel, check_scene_size
 from .rng import SplitMix64
-from .scm import check_global_size
 from .synth import SceneConfig, SyntheticScene, generate_scene
 from .train import evaluate_scenes, fit, is_twin_scene
 
@@ -101,16 +99,20 @@ class SinusoidEncoder:
         return {}
 
 
-def make_variant_model(
-    variant: str, base_cfg: ModelConfig, seed: int
-) -> PanopticModel:
+def variant_config(variant: str, base_cfg: ModelConfig) -> ModelConfig:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    cfg = replace(
+    return replace(
         base_cfg,
         use_scm=variant in ("scm", "scm_icm"),
         use_icm=variant in ("icm", "scm_icm"),
     )
+
+
+def make_variant_model(
+    variant: str, base_cfg: ModelConfig, seed: int
+) -> PanopticModel:
+    cfg = variant_config(variant, base_cfg)
     rng = SplitMix64(seed)
     encoder = None
     if variant == "coords":
@@ -166,13 +168,12 @@ def run_ablation(
             f"{len(held_out)} held-out"
         )
 
-    # A too-fine reference grid or a too-large global-mode feature map
-    # fails here, before any variant trains.
-    hf, wf = scenes[0].height // STRIDE, scenes[0].width // STRIDE
-    if {"icm", "scm_icm"} & set(variants):
-        make_reference_grid(hf, wf, base_cfg.s_ref)
-    if base_cfg.scm_mode == "global" and {"scm", "scm_icm"} & set(variants):
-        check_global_size(hf, wf)
+    # A variant whose config does not fit the scenes fails here, before
+    # any variant trains.
+    sizes = {(scene.height, scene.width) for scene in scenes}
+    for variant in variants:
+        for height, width in sizes:
+            check_scene_size(variant_config(variant, base_cfg), height, width)
 
     rows: List[Dict[str, object]] = []
     for variant in variants:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AutodiffError, NumericsError, ShapeError
+from .errors import AutodiffError, ShapeError
 from .rng import SplitMix64
 
 _GRAD_ENABLED = True
@@ -646,46 +646,6 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     return _make(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
 
 
-# -- verification harness --------------------------------------------------------
-
-
-def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central finite differences.
-
-    `f` must be scalar-valued.  Returns
-    ``max_i |autodiff_i - central_i| / max(1, |central_i|)`` over all
-    coordinates of `x`; raises NumericsError naming the first coordinate
-    where a non-finite value is met.
-    """
-    if h <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-    x.data = np.ascontiguousarray(x.data)
-    x.requires_grad = True
-    x.zero_grad()
-    out = f(x)
-    if out.size != 1:
-        raise AutodiffError(f"check_gradients needs a scalar program, got {out.shape}")
-    out.backward()
-    auto = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    worst = 0.0
-    flat = x.data.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f(x).item()
-            flat[i] = orig - h
-            f_minus = f(x).item()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            if not (math.isfinite(fd) and math.isfinite(auto.reshape(-1)[i])):
-                raise NumericsError(f"non-finite gradient at coordinate {i}")
-            err = abs(auto.reshape(-1)[i] - fd) / max(1.0, abs(fd))
-            worst = max(worst, err)
-    return worst
-
-
 # -- parameters and optimization ---------------------------------------------------
 
 
@@ -705,8 +665,7 @@ class SGD:
     update: buf = momentum*buf + grad + weight_decay*w;  w -= lr*buf
     """
 
-    def __init__(self, params: dict, lr: float, momentum: float = 0.9,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict, lr: float, momentum: float, weight_decay: float):
         self.params = dict(params)
         self.lr = lr
         self.momentum = momentum

@@ -37,7 +37,7 @@ from .checkpoint import (
 from .corrfn import corr_profile
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .metrics import PqAccumulator
-from .model import STRIDE, InstancePrediction, ModelConfig, PanopticModel
+from .model import InstancePrediction, ModelConfig, PanopticModel, check_scene_size
 from .rng import SplitMix64
 from .synth import (
     SceneConfig,
@@ -175,12 +175,14 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
         value = getattr(args, _field(key), None)
         if value is not None:
             merged[key] = value
-    _check_run_values(merged)
+    _check_values(merged)
     return merged
 
 
-def _check_run_values(merged: Dict[str, object]) -> None:
-    """Reject out-of-range run settings, whichever command reads them."""
+def _check_values(merged: Dict[str, object]) -> None:
+    """Reject out-of-range settings, whichever command reads them."""
+    _model_config(merged)
+    _scene_config(merged, seed=0)
     for key in ("count", "scenes"):
         if merged[key] is not None and merged[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {merged[key]}")
@@ -239,13 +241,6 @@ def _load_dataset(root: Path) -> List[SyntheticScene]:
     return [load_scene(path) for _, path in _scene_dirs(root)]
 
 
-def _check_global_size(cfg: ModelConfig, scenes: Sequence[SyntheticScene]) -> None:
-    """Refuse scenes too large for global-mode SCM before building anything."""
-    if cfg.use_scm and cfg.scm_mode == "global":
-        for scene in scenes:
-            scm_mod.check_global_size(scene.height // STRIDE, scene.width // STRIDE)
-
-
 # -- commands -------------------------------------------------------------
 
 
@@ -278,7 +273,8 @@ def cmd_train(merged: Dict[str, object]) -> int:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))
     cfg = _model_config(merged)
-    _check_global_size(cfg, scenes)
+    for height, width in {(scene.height, scene.width) for scene in scenes}:
+        check_scene_size(cfg, height, width)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -323,7 +319,8 @@ def cmd_eval(merged: Dict[str, object]) -> int:
     scenes = _load_dataset(Path(merged["data"]))
     cfg = _model_config(merged)
     if not merged["oracle"]:
-        _check_global_size(cfg, scenes)
+        for height, width in {(scene.height, scene.width) for scene in scenes}:
+            check_scene_size(cfg, height, width)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -377,7 +374,7 @@ def cmd_viz(merged: Dict[str, object]) -> int:
         scene_path = scene_dir(data, int(merged["seed"]))
     cfg = _model_config(merged)
     scene = load_scene(scene_path)
-    _check_global_size(cfg, [scene])
+    check_scene_size(cfg, scene.height, scene.width)
     out = Path(merged["out"])
     write_resolved(merged, out)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from . import scm as scm_mod
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
+from .synth import STUFF_CLASSES, THING_CLASSES
 
 STRIDE = 4  # backbone downsampling factor
 
@@ -45,13 +46,17 @@ MAX_GRID_SIZE = 64
 
 @dataclass
 class ModelConfig:
+    # The class counts belong to the scene generator's label set, so they
+    # are constants here, not config keys.
+    k_thing: ClassVar[int] = THING_CLASSES
+    k_stuff: ClassVar[int] = STUFF_CLASSES
+    k_total: ClassVar[int] = THING_CLASSES + STUFF_CLASSES
+
     n_fourier: int = 3
     s_ref: int = 4
     lambda_sem: float = 0.5
     channels: int = 16
     grid_size: int = 4
-    k_thing: int = 3
-    k_stuff: int = 3
     pre_nms_score: float = 0.1
     post_nms_score: float = 0.3
     stuff_min_area: float = 4096.0 / (640.0 * 640.0)
@@ -73,8 +78,6 @@ class ModelConfig:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_sem}")
         if not 0 < self.nms_sigma < math.inf:
             raise ConfigError(f"nms_sigma must be finite and > 0, got {self.nms_sigma}")
-        if self.k_thing < 1 or self.k_stuff < 0:
-            raise ConfigError("category counts must be positive")
         for name in ("pre_nms_score", "post_nms_score", "stuff_min_area"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -82,9 +85,26 @@ class ModelConfig:
         if self.scm_mode not in scm_mod.AGGREGATORS:
             raise ConfigError(f"scm_mode must be global or axial, got {self.scm_mode!r}")
 
-    @property
-    def k_total(self) -> int:
-        return self.k_thing + self.k_stuff
+
+def check_scene_size(cfg: ModelConfig, height: int, width: int) -> None:
+    """Raise ConfigError unless a height x width scene fits ``cfg``.
+
+    Both sides must be divisible by STRIDE and ``grid_size`` must divide
+    the feature map; ICM's reference grid and global-mode SCM's size
+    limit are checked by their own modules.
+    """
+    if height % STRIDE or width % STRIDE:
+        raise ConfigError(f"scene sides must be divisible by {STRIDE}, got {height}x{width}")
+    hf, wf = height // STRIDE, width // STRIDE
+    if hf % cfg.grid_size or wf % cfg.grid_size:
+        raise ConfigError(
+            f"grid_size={cfg.grid_size} does not divide the {hf}x{wf} feature map "
+            f"of {height}x{width} scenes"
+        )
+    if cfg.use_icm:
+        icm_mod.make_reference_grid(hf, wf, cfg.s_ref)
+    if cfg.use_scm and cfg.scm_mode == "global":
+        scm_mod.check_global_size(hf, wf)
 
 
 @dataclass

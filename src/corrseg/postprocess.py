@@ -110,7 +110,7 @@ def fuse_panoptic(
     # thing-class pixels no instance claimed stay void (-1)
 
     min_area = cfg.stuff_min_area * h * w
-    for cls in range(cfg.k_thing, cfg.k_thing + cfg.k_stuff):
+    for cls in range(cfg.k_thing, cfg.k_total):
         region = category == cls
         if 0 < region.sum() < min_area:
             category[region] = -1

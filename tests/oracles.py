@@ -10,13 +10,19 @@ packed layout, so a fit feeds straight into `corr_profile`;
 `conv2d_grads` differentiates `corrseg.autodiff.conv2d` one output pixel
 and one kernel tap at a time, with no im2col and no padded copy.
 
+`check_gradients` compares reverse-mode gradients against central
+finite differences.
+
 `compute_pq` is no oracle: it is the one-pair shorthand for
 `corrseg.metrics.PqAccumulator` that the metric tests call.
 """
 
+import math
+
 import numpy as np
 
-from corrseg.errors import ShapeError
+from corrseg.autodiff import no_grad
+from corrseg.errors import AutodiffError, NumericsError, ShapeError
 from corrseg.metrics import PqAccumulator
 
 
@@ -100,3 +106,40 @@ def compute_pq(pred, gt, k_thing=3):
     acc = PqAccumulator(k_thing=k_thing)
     acc.add(pred, gt)
     return acc.result()
+
+
+def check_gradients(f, x, h=1e-5):
+    """Max relative error between reverse-mode and central finite differences.
+
+    `f` maps the Tensor `x` to a scalar Tensor.  Returns
+    ``max_i |autodiff_i - central_i| / max(1, |central_i|)`` over all
+    coordinates of `x`; raises NumericsError naming the first coordinate
+    where a non-finite value is met.
+    """
+    if h <= 0:
+        raise ValueError(f"finite-difference step must be positive, got {h}")
+    x.data = np.ascontiguousarray(x.data)
+    x.requires_grad = True
+    x.zero_grad()
+    out = f(x)
+    if out.size != 1:
+        raise AutodiffError(f"check_gradients needs a scalar program, got {out.shape}")
+    out.backward()
+    auto = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+
+    worst = 0.0
+    flat = x.data.reshape(-1)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = f(x).item()
+            flat[i] = orig - h
+            f_minus = f(x).item()
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * h)
+            if not (math.isfinite(fd) and math.isfinite(auto.reshape(-1)[i])):
+                raise NumericsError(f"non-finite gradient at coordinate {i}")
+            err = abs(auto.reshape(-1)[i] - fd) / max(1.0, abs(fd))
+            worst = max(worst, err)
+    return worst

@@ -180,6 +180,11 @@ class TestConfigGuard:
         other = ModelConfig(channels=4, n_fourier=3, s_ref=2, grid_size=2)
         with pytest.raises(DataFormatError, match="n_fourier"):
             check_config(state, other, "test")
+        # Class counts are fixed by the generator, yet a checkpoint stored
+        # with other counts still fails closed.
+        state["config.k_thing"] = np.asarray(2.0)
+        with pytest.raises(DataFormatError, match="k_thing"):
+            check_config(state, model.cfg, "test")
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = small_model(seed=2)

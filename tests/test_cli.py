@@ -187,15 +187,21 @@ class TestConfigMerging:
         ("gen", "height="),
         ("train", "lambda=nan"),
         ("train", "nms_sigma=-1"),
+        ("gen", "scm_mode=local"),
+        ("gen --count 0", "height=5"),
+        ("train", "grid_size=3"),
+        ("ablate", "grid_size=3"),
+        ("train", "k_thing=2"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, dataset, capsys, command, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text + "\n")
+        command, *extra = command.split()
         argv = {"gen": ["--count", "1", "--seed", "0"],
                 "train": ["--data", str(dataset)],
                 "ablate": ["--scenes", "5", "--epochs", "1"]}[command]
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]
-                    + argv) == 2
+                    + argv + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -217,7 +223,7 @@ class TestConfigMerging:
             "data": "some/data", "checkpoint": "some/ck.bin", "point": "2,3",
             "branch": "icm", "oracle": "1", "force": "1",
             "n_fourier": "5", "s_ref": "3", "lambda": "0.75", "channels": "8",
-            "grid_size": "3", "k_thing": "2", "k_stuff": "4", "pre_nms_score": "0.2",
+            "grid_size": "3", "pre_nms_score": "0.2",
             "post_nms_score": "0.4", "stuff_min_area": "0.125", "nms_sigma": "1.5",
             "use_scm": "1", "use_icm": "1", "scm_mode": "global",
             "height": "48", "width": "40", "min_things": "1", "max_things": "3",
@@ -333,33 +339,47 @@ class TestTrain:
 
 
 class TestGlobalModeSize:
-    """A 68x68 feature map (272x272 scenes) is over scm.MAX_GLOBAL_LOCATIONS."""
+    """Scenes a config does not fit: 272x272 scenes give a 68x68 feature
+    map, over scm.MAX_GLOBAL_LOCATIONS and not divisible by 3; 30x64
+    scenes have a side not divisible by the backbone's stride."""
 
     @pytest.fixture(scope="class")
-    def large_dataset(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("large")
-        (root / "large.cfg").write_text("height=272\nwidth=272\n")
-        rc = main(["gen", "--config", str(root / "large.cfg"), "--out", str(root / "data"),
-                   "--count", "1", "--seed", "3"])
-        assert rc == 0
-        return root / "data"
+    def datasets(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("misfit")
+        for name, height, width in (("large", 272, 272), ("odd", 30, 64)):
+            (root / f"{name}.cfg").write_text(f"height={height}\nwidth={width}\n")
+            rc = main(["gen", "--config", str(root / f"{name}.cfg"), "--out", str(root / name),
+                       "--count", "1", "--seed", "3"])
+            assert rc == 0
+        return root
 
-    @pytest.mark.parametrize("command", ["train", "eval", "viz"])
+    @pytest.mark.parametrize("command, data, text, message", [
+        (command, data, text, message)
+        for data, text, message in (
+            ("large", "use_scm=1\nscm_mode=global", "global-mode SCM allows at most 4096"),
+            ("large", "grid_size=3", "grid_size=3 does not divide the 68x68 feature map"),
+            ("odd", "", "scene sides must be divisible by 4, got 30x64"))
+        for command in ("train", "eval", "viz")
+    ], ids=[command + suffix for suffix in ("", "-grid", "-sides")
+            for command in ("train", "eval", "viz")])
     def test_exits_2_before_reading_a_checkpoint_or_writing(
-            self, tmp_path, large_dataset, capsys, command):
+            self, tmp_path, datasets, capsys, command, data, text, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
         out = tmp_path / "o"
-        rc = main([command, "--data", str(large_dataset), "--out", str(out),
-                   "--use-scm", "--scm-mode", "global", "--epochs", "1",
+        rc = main([command, "--config", str(cfg), "--data", str(datasets / data),
+                   "--out", str(out), "--epochs", "1",
                    "--checkpoint", str(tmp_path / "missing.bin"),
                    "--point", "0,0", "--branch", "scm"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: global-mode SCM allows at most 4096") and err.count("\n") == 1
+        assert err.startswith("error: " + message) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_oracle_eval_is_not_refused(self, tmp_path, large_dataset):
-        assert main(["eval", "--data", str(large_dataset), "--out", str(tmp_path / "o"),
-                     "--use-scm", "--scm-mode", "global", "--oracle"]) == 0
+    def test_oracle_eval_is_not_refused(self, tmp_path, datasets):
+        for data in ("large", "odd"):
+            assert main(["eval", "--data", str(datasets / data), "--out", str(tmp_path / data),
+                         "--use-scm", "--scm-mode", "global", "--oracle"]) == 0
 
 
 class TestEval:

@@ -6,7 +6,7 @@ from corrseg import corrfn as cf
 from corrseg import icm, scm
 from corrseg.errors import ShapeError
 from corrseg.rng import SplitMix64
-from oracles import per_harmonic_profile
+from oracles import check_gradients, per_harmonic_profile
 
 
 class TestReferenceGrid:
@@ -165,13 +165,13 @@ class TestIcmForward:
         def forward(_):
             return ad.mul(icm.icm_forward(features, weights, refs), 0.5).sum()
 
-        assert ad.check_gradients(forward, probe) < 1e-4
+        assert check_gradients(forward, probe) < 1e-4
 
     def test_gradient_wrt_features(self):
         weights = self.make(channels=2, n_terms=1, s=2, seed=17)
         refs = icm.make_reference_grid(3, 3, 2)
         features = ad.Tensor(SplitMix64(18).uniform_array((3, 3, 2), -1, 1))
-        err = ad.check_gradients(
+        err = check_gradients(
             lambda t: icm.icm_forward(t, weights, refs).sum(), features
         )
         assert err < 1e-4

@@ -14,6 +14,7 @@ from corrseg.model import (
     InstancePrediction,
     ModelConfig,
     PanopticModel,
+    check_scene_size,
     decode_instances,
     upsample_bilinear,
     upsample_nearest,
@@ -59,6 +60,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
 
+    def test_scene_size_checks_only_enabled_modules(self):
+        # s_ref=137 is too fine for a 68x68 map and 272x272 is too large for
+        # global mode, but neither module is on; the second call sits on
+        # both limits with both modules on.
+        check_scene_size(ModelConfig(s_ref=137, scm_mode="global"), 272, 272)
+        check_scene_size(ModelConfig(use_scm=True, use_icm=True, scm_mode="global",
+                                     s_ref=128), 256, 256)
+        with pytest.raises(ConfigError):
+            check_scene_size(ModelConfig(use_icm=True, s_ref=137), 272, 272)
+
 
 class TestBackbone:
     def test_quarters_resolution(self):
@@ -88,7 +99,7 @@ class TestBackbone:
 
 class TestHeads:
     def test_semantic_logits_shape(self):
-        cfg = tiny_cfg(k_thing=3, k_stuff=3)
+        cfg = tiny_cfg()
         model = PanopticModel(cfg, SplitMix64(2))
         features = model.backbone(random_image(24, 16))
         assert model.semantic_logits(features).shape == (6, 4, 6)
@@ -149,7 +160,7 @@ class TestHeads:
 
 class TestDecode:
     def cfg(self):
-        return tiny_cfg(grid_size=2, k_thing=3)
+        return tiny_cfg(grid_size=2)
 
     def test_all_negative_logits_empty(self):
         cate = np.full((2, 2, 3), -10.0)
@@ -199,7 +210,7 @@ class TestDecode:
         np.testing.assert_array_equal(pred.masks, np.repeat(probs, 3, axis=0) > 0.5)
 
     def test_g1_cardinality_bound(self):
-        cfg = tiny_cfg(grid_size=1, k_thing=3)
+        cfg = tiny_cfg(grid_size=1)
         cate = np.full((1, 1, 3), 5.0)
         pred = decode_instances(cate, np.zeros((1, 4, 4)), cfg)
         assert len(pred) == cfg.k_thing
