@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +109,14 @@ def variant_config(variant: str, base_cfg: ModelConfig) -> ModelConfig:
     )
 
 
+def check_variants_fit(base_cfg: ModelConfig, sizes: Iterable[Tuple[int, int]],
+                       variants: Sequence[str] = VARIANTS) -> None:
+    """Raise ConfigError unless every variant's config fits every scene size."""
+    for height, width in sizes:
+        for variant in variants:
+            check_scene_size(variant_config(variant, base_cfg), height, width)
+
+
 def make_variant_model(
     variant: str, base_cfg: ModelConfig, seed: int
 ) -> PanopticModel:
@@ -170,10 +178,8 @@ def run_ablation(
 
     # A variant whose config does not fit the scenes fails here, before
     # any variant trains.
-    sizes = {(scene.height, scene.width) for scene in scenes}
-    for variant in variants:
-        for height, width in sizes:
-            check_scene_size(variant_config(variant, base_cfg), height, width)
+    check_variants_fit(base_cfg, {(scene.height, scene.width) for scene in scenes},
+                       variants)
 
     rows: List[Dict[str, object]] = []
     for variant in variants:

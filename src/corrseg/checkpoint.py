@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict
 
@@ -30,17 +31,7 @@ from .model import ModelConfig, PanopticModel
 MAGIC = b"CFLD"
 VERSION = 1
 
-_CONFIG_KEYS = (
-    "n_fourier",
-    "s_ref",
-    "channels",
-    "grid_size",
-    "k_thing",
-    "k_stuff",
-    "use_scm",
-    "use_icm",
-    "scm_mode",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig)) + ("k_thing", "k_stuff")
 _SCM_MODES = ("global", "axial")
 
 

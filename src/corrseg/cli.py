@@ -26,7 +26,8 @@ import numpy as np
 
 from . import icm as icm_mod
 from . import scm as scm_mod
-from .ablation import make_twin_dataset, report_row, run_ablation, write_report
+from .ablation import (check_variants_fit, make_twin_dataset, report_row,
+                       run_ablation, write_report)
 from .autodiff import no_grad
 from .checkpoint import (
     load_checkpoint,
@@ -68,8 +69,7 @@ _RUN_DEFAULTS: Dict[str, object] = {
     "checkpoint": None, "point": None, "branch": None, "oracle": False,
     "force": False,
 }
-_MODEL_DEFAULTS = {("lambda" if name == "lambda_sem" else name): value
-                   for name, value in asdict(ModelConfig()).items()}
+_MODEL_DEFAULTS = asdict(ModelConfig())
 _SCENE_DEFAULTS = {name: (",".join(value) if name == "shapes" else value)
                    for name, value in asdict(SceneConfig()).items() if name != "seed"}
 _DEFAULTS = {"command": None, **_RUN_DEFAULTS, **_MODEL_DEFAULTS, **_SCENE_DEFAULTS}
@@ -78,11 +78,6 @@ _KEY_ORDER = tuple(_DEFAULTS)
 # seed and count are integers and the rest strings.
 _TYPES = {key: str if value is None else type(value) for key, value in _DEFAULTS.items()}
 _TYPES.update(seed=int, count=int)
-
-
-def _field(key: str) -> str:
-    """The ModelConfig field and argparse dest behind a config key."""
-    return "lambda_sem" if key == "lambda" else key
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -132,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="weight-init and augmentation seed")
         cmd.add_argument("--epochs", type=int)
         cmd.add_argument("--lr", type=float)
-        cmd.add_argument("--lambda", type=float, dest="lambda_sem",
-                         help="semantic loss weight")
         cmd.add_argument("--n-fourier", type=int)
         cmd.add_argument("--s-ref", type=int)
         cmd.add_argument("--use-scm", action="store_const", const=True)
@@ -172,7 +165,7 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
                 raise ConfigError(f"{path}: {key} needs a value")
             merged[key] = value
     for key in _KEY_ORDER[1:]:
-        value = getattr(args, _field(key), None)
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     _check_values(merged)
@@ -209,7 +202,7 @@ def write_resolved(merged: Dict[str, object], out_dir: Path) -> None:
 
 
 def _model_config(merged: Dict[str, object]) -> ModelConfig:
-    return ModelConfig(**{_field(key): merged[key] for key in _MODEL_DEFAULTS})
+    return ModelConfig(**{key: merged[key] for key in _MODEL_DEFAULTS})
 
 
 def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
@@ -325,13 +318,13 @@ def cmd_eval(merged: Dict[str, object]) -> int:
     write_resolved(merged, out)
 
     if merged["oracle"]:
-        acc = PqAccumulator(k_thing=cfg.k_thing)
+        acc = PqAccumulator()
         for scene in scenes:
             truth = scene_to_panoptic(scene)
             acc.add(truth, truth)
         result = acc.result()
         rate = twin_rate([
-            twins_covered(_oracle_prediction(scene), scene, cfg.post_nms_score)
+            twins_covered(_oracle_prediction(scene), scene)
             for scene in scenes if is_twin_scene(scene)
         ])
         variant = "oracle"
@@ -434,6 +427,8 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
     merged["twin_mode"] = True
     merged["min_things"] = 2
     merged["max_things"] = 2
+    cfg = _model_config(merged)
+    check_variants_fit(cfg, [(merged["height"], merged["width"])])
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -443,7 +438,7 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
                                scene_cfg=base_scene)
     rows = run_ablation(
         scenes,
-        _model_config(merged),
+        cfg,
         epochs=int(merged["epochs"]),
         lr=float(merged["lr"]),
         seed=int(merged["train_seed"]),

@@ -164,6 +164,4 @@ def sem_loss(outputs: ModelOutputs, scene: SyntheticScene) -> Tensor:
 def total_loss(outputs: ModelOutputs, scene: SyntheticScene, cfg: ModelConfig) -> Tensor:
     assigned = assign_instances_to_cells(scene, cfg.grid_size)
     parts = mask_loss(outputs.mask_logits, assigned) + cate_loss(outputs.cate_logits, assigned)
-    if cfg.lambda_sem != 0.0:
-        parts = parts + sem_loss(outputs, scene) * cfg.lambda_sem
-    return parts
+    return parts + sem_loss(outputs, scene) * cfg.lambda_sem

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .postprocess import PanopticSegmentation
+from .synth import THING_CLASSES
 
 _VOID = -1
 
@@ -77,8 +78,7 @@ def _segments(pan: PanopticSegmentation
 class PqAccumulator:
     """Pools match statistics over many (pred, gt) pairs."""
 
-    def __init__(self, k_thing: int = 3) -> None:
-        self.k_thing = k_thing
+    def __init__(self) -> None:
         self.stats: Dict[int, ClassPq] = {}
 
     def _cls(self, category: int) -> ClassPq:
@@ -135,8 +135,8 @@ class PqAccumulator:
         def mean(values: List[float]) -> float:
             return sum(values) / len(values) if values else 0.0
 
-        things = [s.pq for c, s in counted.items() if c < self.k_thing]
-        stuff = [s.pq for c, s in counted.items() if c >= self.k_thing]
+        things = [s.pq for c, s in counted.items() if c < THING_CLASSES]
+        stuff = [s.pq for c, s in counted.items() if c >= THING_CLASSES]
         return PQResult(
             pq=mean([s.pq for s in counted.values()]),
             sq=mean([s.sq for s in counted.values()]),

@@ -15,7 +15,6 @@ parameter dict is flat, checkpointable, and order-stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
@@ -46,21 +45,22 @@ MAX_GRID_SIZE = 64
 
 @dataclass
 class ModelConfig:
-    # The class counts belong to the scene generator's label set, so they
-    # are constants here, not config keys.
+    # Every field is architecture that a checkpoint must match.  The class
+    # counts belong to the scene generator's label set, and the loss weight
+    # and post-processing settings are fixed, so they are constants.
     k_thing: ClassVar[int] = THING_CLASSES
     k_stuff: ClassVar[int] = STUFF_CLASSES
     k_total: ClassVar[int] = THING_CLASSES + STUFF_CLASSES
+    lambda_sem: ClassVar[float] = 0.5  # semantic loss weight
+    pre_nms_score: ClassVar[float] = 0.1
+    post_nms_score: ClassVar[float] = 0.3
+    stuff_min_area: ClassVar[float] = 4096.0 / (640.0 * 640.0)  # of the image
+    nms_sigma: ClassVar[float] = 2.0
 
     n_fourier: int = 3
     s_ref: int = 4
-    lambda_sem: float = 0.5
     channels: int = 16
     grid_size: int = 4
-    pre_nms_score: float = 0.1
-    post_nms_score: float = 0.3
-    stuff_min_area: float = 4096.0 / (640.0 * 640.0)
-    nms_sigma: float = 2.0
     use_scm: bool = False
     use_icm: bool = False
     scm_mode: str = "axial"
@@ -74,14 +74,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be in [{low}, {high}], got {value}")
         if self.s_ref < 1:
             raise ConfigError(f"s_ref must be >= 1, got {self.s_ref}")
-        if not 0 <= self.lambda_sem < math.inf:
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_sem}")
-        if not 0 < self.nms_sigma < math.inf:
-            raise ConfigError(f"nms_sigma must be finite and > 0, got {self.nms_sigma}")
-        for name in ("pre_nms_score", "post_nms_score", "stuff_min_area"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.scm_mode not in scm_mod.AGGREGATORS:
             raise ConfigError(f"scm_mode must be global or axial, got {self.scm_mode!r}")
 

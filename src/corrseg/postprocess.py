@@ -43,12 +43,13 @@ class PanopticSegmentation:
         return self.category.shape[1]
 
 
-def matrix_nms(pred: InstancePrediction, sigma: float = 2.0) -> InstancePrediction:
+def matrix_nms(pred: InstancePrediction) -> InstancePrediction:
     """Return predictions sorted by incoming score with decayed scores.
 
     decay_j = min_i exp(-(iou_ij^2 - cmax_i^2) / sigma) over higher-scored
     masks i of the same category, where cmax_i is the worst overlap i has
-    with anything above it.  Scores never increase.
+    with anything above it and sigma is ``ModelConfig.nms_sigma``.
+    Scores never increase.
     """
     if len(pred) == 0:
         return pred
@@ -68,7 +69,7 @@ def matrix_nms(pred: InstancePrediction, sigma: float = 2.0) -> InstancePredicti
     cmax = pair.max(axis=0)
     active = np.triu(same_class, k=1)
     decay_pairs = np.where(
-        active, np.exp(-(pair**2 - cmax[:, None] ** 2) / sigma), 1.0
+        active, np.exp(-(pair**2 - cmax[:, None] ** 2) / ModelConfig.nms_sigma), 1.0
     )
     decay = decay_pairs.min(axis=0)
 

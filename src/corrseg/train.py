@@ -25,6 +25,7 @@ from .metrics import PqAccumulator, PQResult
 from .model import (
     STRIDE,
     InstancePrediction,
+    ModelConfig,
     PanopticModel,
     decode_instances,
     upsample_nearest,
@@ -177,7 +178,7 @@ def infer_panoptic(
     with ad.no_grad():
         outputs = model.forward(scene_image(scene))
     pred = decode_instances(outputs.cate_logits.data, outputs.mask_logits.data, cfg)
-    pred = matrix_nms(pred, sigma=cfg.nms_sigma)
+    pred = matrix_nms(pred)
     semantic = upsample_nearest(np.argmax(outputs.sem_logits.data, axis=-1), STRIDE)
     return fuse_panoptic(pred, semantic, cfg), pred
 
@@ -192,13 +193,13 @@ def evaluate_scenes(
     Twin scenes are those ``is_twin_scene`` accepts; the twin rate is NaN
     when there are none.
     """
-    acc = PqAccumulator(k_thing=model.cfg.k_thing)
+    acc = PqAccumulator()
     covered: List[bool] = []
     for scene in scenes:
         fused, pred = infer_panoptic(model, scene)
         acc.add(fused, scene_to_panoptic(scene))
         if is_twin_scene(scene):
-            covered.append(twins_covered(pred, scene, model.cfg.post_nms_score))
+            covered.append(twins_covered(pred, scene))
     return acc.result(), twin_rate(covered)
 
 
@@ -227,16 +228,13 @@ def twin_rate(covered: Sequence[bool]) -> float:
     return sum(covered) / len(covered) if covered else float("nan")
 
 
-def twins_covered(
-    pred: InstancePrediction, scene: SyntheticScene, score_threshold: float
-) -> bool:
+def twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
     """True when every ground-truth twin mask is covered by some kept
-    prediction at IoU > 0.5, regardless of the predicted class."""
-    if scene.meta.get("twin_mode") != "1":
-        raise ValueError("scene was not generated in twin mode")
+    prediction (score above ``post_nms_score``) at IoU > 0.5, regardless
+    of the predicted class."""
     if not is_twin_scene(scene):
-        raise ValueError("twin scene is missing its twin pair")
-    kept = pred.masks[pred.scores > score_threshold]
+        raise ValueError("scene has no twin pair")
+    kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
     twins = np.stack([mask for mask, _ in scene.instances[:2]])
     inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))  # (2, n_kept)
     union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter

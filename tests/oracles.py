@@ -101,9 +101,9 @@ def conv2d_grads(x, kernel, g, stride=1):
     return dx, dk
 
 
-def compute_pq(pred, gt, k_thing=3):
+def compute_pq(pred, gt):
     """PQ of one (prediction, ground truth) pair."""
-    acc = PqAccumulator(k_thing=k_thing)
+    acc = PqAccumulator()
     acc.add(pred, gt)
     return acc.result()
 

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,13 @@ class TestConfigGuard:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {checkpoint}: ")
         assert "'stem1'" in err
+
+    def test_stored_config_is_the_model_fields_and_class_counts(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model_state(small_model()))
+        stored = {name[len("config."):] for name in load_checkpoint(path)
+                  if name.startswith("config.")}
+        assert stored == {f.name for f in fields(ModelConfig)} | {"k_thing", "k_stuff"}
 
     def test_committed_benchmark_fixture_loads(self):
         fixture = Path(__file__).parents[1] / "perfbench" / "fixtures" / "eval_scm_icm.bin"

@@ -90,7 +90,6 @@ class TestGen:
         assert resolved["seed"] == "7"
         assert resolved["height"] == "32"
         assert resolved["lr"] == "0.01"
-        assert resolved["lambda"] == "0.5"
         assert resolved["use_scm"] == "0"
 
     def test_deterministic(self, tmp_path, small_cfg):
@@ -185,8 +184,8 @@ class TestConfigMerging:
         ("train", "count=-3"),
         ("gen", "max_things=100000"),
         ("gen", "height="),
-        ("train", "lambda=nan"),
-        ("train", "nms_sigma=-1"),
+        ("train", "lambda=0.5"),
+        ("train", "post_nms_score=0.3"),
         ("gen", "scm_mode=local"),
         ("gen --count 0", "height=5"),
         ("train", "grid_size=3"),
@@ -204,6 +203,7 @@ class TestConfigMerging:
                     + argv + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
     def test_resolved_cfg_reproduces_the_run(self, tmp_path, dataset):
         out = tmp_path / "again"
@@ -222,9 +222,7 @@ class TestConfigMerging:
             "scenes": "9", "train_fraction": "0.6", "out": str(tmp_path / "unused"),
             "data": "some/data", "checkpoint": "some/ck.bin", "point": "2,3",
             "branch": "icm", "oracle": "1", "force": "1",
-            "n_fourier": "5", "s_ref": "3", "lambda": "0.75", "channels": "8",
-            "grid_size": "3", "pre_nms_score": "0.2",
-            "post_nms_score": "0.4", "stuff_min_area": "0.125", "nms_sigma": "1.5",
+            "n_fourier": "5", "s_ref": "3", "channels": "8", "grid_size": "3",
             "use_scm": "1", "use_icm": "1", "scm_mode": "global",
             "height": "48", "width": "40", "min_things": "1", "max_things": "3",
             "shapes": "disk", "color_jitter": "0.1", "stuff_bands": "2", "twin_mode": "1",
@@ -278,7 +276,6 @@ class TestTrain:
         assert lines[0] == "epoch,loss"
         assert len(lines) == 3
         resolved = read_resolved(trained)
-        assert resolved["lambda"] == "0.5"
         assert resolved["seed"] == "0"
 
     def test_losses_are_finite_floats(self, trained):

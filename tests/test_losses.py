@@ -172,22 +172,6 @@ class TestTotalLoss:
         )
         assert losses.total_loss(outputs, scene, cfg).item() < 1e-6
 
-    def test_lambda_zero_leaves_semantic_head_untouched(self):
-        from dataclasses import replace
-
-        scene = make_scene(seed=13)
-        cfg = replace(self.cfg(), lambda_sem=0.0)
-        model = PanopticModel(cfg, SplitMix64(2))
-        out = model.forward(Tensor(scene.image))
-        loss = losses.total_loss(out, scene, cfg)
-        loss.backward()
-        params = model.parameters()
-        for name, p in params.items():
-            if name.startswith(("sem_conv", "sem_out")):
-                assert p.grad is None or np.all(p.grad == 0.0), name
-        # sanity: the shared trunk still receives gradient
-        assert params["stem1"].grad is not None
-
     def test_empty_instances_zero_mask_gradient(self):
         scene = make_scene(seed=4, min_things=0, max_things=0)
         assert not scene.instances

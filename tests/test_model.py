@@ -48,13 +48,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(grid_size=0),
-        dict(lambda_sem=-0.1),
         dict(channels=0),
-        dict(pre_nms_score=1.5),
         dict(scm_mode="diagonal"),
         dict(channels=MAX_CHANNELS + 1),
         dict(n_fourier=MAX_FOURIER + 1),
         dict(grid_size=MAX_GRID_SIZE + 1),
+        dict(s_ref=0),
+        dict(n_fourier=-1),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):

@@ -133,13 +133,15 @@ def fusion_cfg(**overrides):
 
 class TestFusePanoptic:
     def test_no_instances_keeps_semantic_with_small_stuff_removed(self):
-        cfg = fusion_cfg(stuff_min_area=0.05)
+        cfg = fusion_cfg()
         semantic = np.full((20, 20), 3, dtype=np.int64)
-        semantic[0, :10] = 4  # 10 pixels < 0.05 * 400 = 20
+        semantic[0, :3] = 4  # 3 pixels < stuff_min_area * 400 = 4
+        semantic[1, :4] = 5  # 4 pixels are enough
         fused = fuse_panoptic(no_prediction(20, 20), semantic, cfg)
         assert np.all(fused.instance == 0)
         assert np.all(fused.category[semantic == 3] == 3)
         assert np.all(fused.category[semantic == 4] == -1)
+        assert np.all(fused.category[semantic == 5] == 5)
 
     def test_higher_score_wins_overlap(self):
         cfg = fusion_cfg()

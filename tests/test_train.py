@@ -200,19 +200,19 @@ class TestTwinDetection:
 
     def test_perfect_predictions_cover_twins(self):
         scene = self.twin_scene()
-        assert twins_covered(truth_prediction(scene), scene, 0.3)
+        assert twins_covered(truth_prediction(scene), scene)
 
     def test_single_covering_mask_is_not_enough(self):
         scene = self.twin_scene()
-        assert not twins_covered(truth_prediction(scene, keep=1), scene, 0.3)
+        assert not twins_covered(truth_prediction(scene, keep=1), scene)
 
     def test_class_label_is_ignored(self):
         scene = self.twin_scene()
-        assert twins_covered(truth_prediction(scene, shift=1), scene, 0.3)
+        assert twins_covered(truth_prediction(scene, shift=1), scene)
 
     def test_low_scores_filtered_out(self):
         scene = self.twin_scene()
-        assert not twins_covered(truth_prediction(scene, score=0.2), scene, 0.3)
+        assert not twins_covered(truth_prediction(scene, score=0.2), scene)
 
     def test_iou_must_exceed_half(self):
         scene = self.twin_scene()
@@ -226,14 +226,14 @@ class TestTwinDetection:
                 pred.masks[k, ys[:n], xs[:n]] = True
             return pred
 
-        assert not twins_covered(grown(lambda area: area), scene, 0.3)  # IoU 1/2
-        assert twins_covered(grown(lambda area: area - 1), scene, 0.3)
+        assert not twins_covered(grown(lambda area: area), scene)  # IoU 1/2
+        assert twins_covered(grown(lambda area: area - 1), scene)
 
     def test_non_twin_scene_rejected(self):
         scene = smoke_scenes(1)[0]
         pred = truth_prediction(scene, keep=0)
         with pytest.raises(ValueError):
-            twins_covered(pred, scene, 0.3)
+            twins_covered(pred, scene)
 
     def test_flipped_twin_pair_is_still_a_pair(self):
         scene = self.twin_scene()
@@ -247,7 +247,7 @@ class TestTwinDetection:
         assert scene.meta["categories"] == "0,0"
         assert not is_twin_scene(scene)
         with pytest.raises(ValueError):
-            twins_covered(truth_prediction(scene), scene, 0.3)
+            twins_covered(truth_prediction(scene), scene)
 
     def test_untrained_rate_is_zero(self):
         model = smoke_model(seed=12)
