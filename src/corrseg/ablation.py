@@ -37,6 +37,8 @@ from .train import evaluate_scenes, fit, is_twin_scene
 
 VARIANTS = ("baseline", "scm", "icm", "scm_icm", "coords", "sinusoid")
 
+TRAIN_FRACTION = 0.8  # of the scenes, in order; the rest are held out
+
 CSV_HEADER = ("variant", "pq", "sq", "rq", "pq_th", "pq_st", "twin_rate",
               "train_seconds")
 
@@ -149,13 +151,24 @@ def make_twin_dataset(
     return scenes
 
 
+def split_scenes(scenes: Sequence) -> Tuple[list, list]:
+    """(train, held-out) at TRAIN_FRACTION; ConfigError if either is empty."""
+    split = int(len(scenes) * TRAIN_FRACTION)
+    train, held_out = list(scenes[:split]), list(scenes[split:])
+    if not train or not held_out:
+        raise ConfigError(
+            f"need a non-trivial split, got {len(train)} train / "
+            f"{len(held_out)} held-out"
+        )
+    return train, held_out
+
+
 def run_ablation(
     scenes: Sequence[SyntheticScene],
     base_cfg: ModelConfig,
     epochs: int,
     lr: float,
     seed: int = 0,
-    train_fraction: float = 0.8,
     out_path=None,
     variants: Sequence[str] = VARIANTS,
 ) -> List[Dict[str, object]]:
@@ -167,14 +180,7 @@ def run_ablation(
     whose training hits a non-finite loss is recorded as a row of NaNs
     and the sweep continues.
     """
-    split = int(len(scenes) * train_fraction)
-    train_scenes = list(scenes[:split])
-    held_out = list(scenes[split:])
-    if not train_scenes or not held_out:
-        raise ConfigError(
-            f"need a non-trivial split, got {len(train_scenes)} train / "
-            f"{len(held_out)} held-out"
-        )
+    train_scenes, held_out = split_scenes(scenes)
 
     # A variant whose config does not fit the scenes fails here, before
     # any variant trains.

@@ -27,7 +27,7 @@ import numpy as np
 from . import icm as icm_mod
 from . import scm as scm_mod
 from .ablation import (check_variants_fit, make_twin_dataset, report_row,
-                       run_ablation, write_report)
+                       run_ablation, split_scenes, write_report)
 from .autodiff import no_grad
 from .checkpoint import (
     load_checkpoint,
@@ -65,13 +65,13 @@ from .train import (
 # SceneConfig field but the per-scene seed follow them as keys of their own.
 _RUN_DEFAULTS: Dict[str, object] = {
     "seed": None, "train_seed": 0, "epochs": 128, "lr": 0.01, "count": None,
-    "scenes": 200, "train_fraction": 0.8, "out": None, "data": None,
+    "scenes": 200, "out": None, "data": None,
     "checkpoint": None, "point": None, "branch": None, "oracle": False,
     "force": False,
 }
 _MODEL_DEFAULTS = asdict(ModelConfig())
-_SCENE_DEFAULTS = {name: (",".join(value) if name == "shapes" else value)
-                   for name, value in asdict(SceneConfig()).items() if name != "seed"}
+_SCENE_DEFAULTS = {name: value for name, value in asdict(SceneConfig()).items()
+                   if name != "seed"}
 _DEFAULTS = {"command": None, **_RUN_DEFAULTS, **_MODEL_DEFAULTS, **_SCENE_DEFAULTS}
 _KEY_ORDER = tuple(_DEFAULTS)
 # A key's value has its default's type; of the keys that default to None,
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allow writing into a non-empty directory")
         cmd.add_argument("--count", type=int, help="number of scenes to generate")
         cmd.add_argument("--scenes", type=int, help="dataset size for ablate")
-        cmd.add_argument("--train-fraction", type=float)
         cmd.add_argument("--point", help="feature-map x,y for viz")
         cmd.add_argument("--branch", choices=("scm", "icm"),
                          help="which parameter head viz should read")
@@ -183,8 +182,6 @@ def _check_values(merged: Dict[str, object]) -> None:
         raise ConfigError(f"epochs must be >= 1, got {merged['epochs']}")
     if not (math.isfinite(merged["lr"]) and merged["lr"] > 0.0):
         raise ConfigError(f"lr must be positive and finite, got {merged['lr']}")
-    if not 0.0 < merged["train_fraction"] < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {merged['train_fraction']}")
 
 
 def _require(merged: Dict[str, object], *keys: str) -> None:
@@ -206,11 +203,7 @@ def _model_config(merged: Dict[str, object]) -> ModelConfig:
 
 
 def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
-    shapes = tuple(
-        part.strip() for part in str(merged["shapes"]).split(",") if part.strip()
-    )
-    return SceneConfig(**{key: merged[key] for key in _SCENE_DEFAULTS if key != "shapes"},
-                       shapes=shapes, seed=seed)
+    return SceneConfig(**{key: merged[key] for key in _SCENE_DEFAULTS}, seed=seed)
 
 
 def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
@@ -429,6 +422,7 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
     merged["max_things"] = 2
     cfg = _model_config(merged)
     check_variants_fit(cfg, [(merged["height"], merged["width"])])
+    split_scenes(range(int(merged["scenes"])))  # refuse a degenerate split now
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -442,7 +436,6 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
         epochs=int(merged["epochs"]),
         lr=float(merged["lr"]),
         seed=int(merged["train_seed"]),
-        train_fraction=float(merged["train_fraction"]),
         out_path=out / "report.csv",
     )
     for row in rows:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,13 +58,15 @@ MAX_THINGS = 64
 
 @dataclass
 class SceneConfig:
+    # The thing shapes, the color jitter and the band count are the same
+    # in every scene, so they are constants rather than settings.
+    shapes: ClassVar[Tuple[str, ...]] = ("disk", "rectangle")
+    color_jitter: ClassVar[float] = 0.08
+    stuff_bands: ClassVar[int] = 3
     height: int = 64
     width: int = 64
     min_things: int = 2
     max_things: int = 4
-    shapes: Tuple[str, ...] = ("disk", "rectangle")
-    color_jitter: float = 0.08
-    stuff_bands: int = 3
     twin_mode: bool = False
     seed: int = 0
 
@@ -78,15 +80,6 @@ class SceneConfig:
                 f"need 0 <= min_things <= max_things <= {MAX_THINGS}, "
                 f"got {self.min_things}..{self.max_things}"
             )
-        if not 1 <= self.stuff_bands <= self.height:
-            raise ConfigError(
-                f"stuff_bands must be in [1, height={self.height}], got {self.stuff_bands}"
-            )
-        unknown = set(self.shapes) - {"disk", "rectangle"}
-        if not self.shapes or unknown:
-            raise ConfigError(f"shapes must be drawn from disk/rectangle, got {self.shapes}")
-        if not 0.0 <= self.color_jitter <= 0.5:
-            raise ConfigError(f"color jitter must be in [0, 0.5], got {self.color_jitter}")
         if self.twin_mode and self.max_things < 2:
             raise ConfigError("twin mode needs room for at least two things")
 
@@ -267,12 +260,13 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         )
     pos = 2
     header = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos, path)
+        start = pos - len(token)
         if not token.isdigit():
-            raise DataFormatError(
-                f"{path}: non-numeric header field {token!r} at byte {pos - len(token)}"
-            )
+            raise DataFormatError(f"{path}: non-numeric header field {token!r} at byte {start}")
+        if int(token) == 0:
+            raise DataFormatError(f"{path}: {name} is 0 at byte {start}")
         header.append(int(token))
     width, height, maxval = header
     if maxval != 255:

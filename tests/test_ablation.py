@@ -166,17 +166,16 @@ class TestRunAblation:
         scenes = make_twin_dataset(5, seed=60)
         variants = ("baseline", "icm")
         rows = run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001,
-                            train_fraction=0.6, variants=variants)
-        held_out = [id(scene) for scene in scenes[3:]]
+                            variants=variants)
+        held_out = [id(scene) for scene in scenes[4:]]
         assert [id(scene) for _, scene in calls] == held_out * len(variants)
         assert len({id(model) for model, _ in calls}) == len(variants)
         assert all(0.0 <= row["twin_rate"] <= 1.0 for row in rows)
 
     def test_degenerate_split_rejected(self):
-        scenes = make_twin_dataset(2, seed=70)
+        scenes = make_twin_dataset(1, seed=70)
         with pytest.raises(ValueError, match="split"):
-            run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001,
-                         train_fraction=1.0)
+            run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001)
 
     def test_too_large_global_mode_fails_before_training(self, monkeypatch):
         scenes = make_twin_dataset(
@@ -185,7 +184,7 @@ class TestRunAblation:
         monkeypatch.setattr(ablation, "fit", None)  # any training call would fail
         with pytest.raises(ConfigError, match="global-mode SCM"):
             run_ablation(scenes, ModelConfig(scm_mode="global", **SMALL), epochs=1,
-                         lr=0.001, train_fraction=0.6)
+                         lr=0.001)
 
     def test_subset_of_variants(self, tmp_path):
         scenes = make_twin_dataset(3, seed=60)

@@ -168,8 +168,11 @@ class TestConfigMerging:
                      str(tmp_path / "o"), "--count", "0", "--seed", "1"]) == 2
 
     @pytest.mark.parametrize("command, text", [
-        ("ablate", "train_fraction=nan"),
-        ("ablate", "train_fraction=1"),
+        ("ablate", "train_fraction=0.8"),
+        ("gen", "shapes=disk,rectangle"),
+        ("gen", "color_jitter=0.08"),
+        ("gen", "stuff_bands=3"),
+        ("ablate --scenes 1", "epochs=1"),
         ("train", "s_ref=1000\nuse_icm=1"),
         ("ablate", "s_ref=1000"),
         ("ablate", "height=272\nwidth=272\nscm_mode=global"),
@@ -219,13 +222,12 @@ class TestConfigMerging:
         a rerun from that file writes it again byte for byte."""
         values = {
             "seed": "11", "train_seed": "3", "epochs": "7", "lr": "0.25", "count": "0",
-            "scenes": "9", "train_fraction": "0.6", "out": str(tmp_path / "unused"),
+            "scenes": "9", "out": str(tmp_path / "unused"),
             "data": "some/data", "checkpoint": "some/ck.bin", "point": "2,3",
             "branch": "icm", "oracle": "1", "force": "1",
             "n_fourier": "5", "s_ref": "3", "channels": "8", "grid_size": "3",
             "use_scm": "1", "use_icm": "1", "scm_mode": "global",
-            "height": "48", "width": "40", "min_things": "1", "max_things": "3",
-            "shapes": "disk", "color_jitter": "0.1", "stuff_bands": "2", "twin_mode": "1",
+            "height": "48", "width": "40", "min_things": "1", "max_things": "3", "twin_mode": "1",
         }
         assert tuple(values) == _KEY_ORDER[1:]
         defaults = tmp_path / "defaults.cfg"
@@ -319,6 +321,20 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--epochs", "1"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {meta}: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval --oracle"])
+    def test_zero_size_image_exits_3(self, tmp_path, dataset, small_cfg, capsys,
+                                     command):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        image = data / "scenes" / "8" / "image.ppm"
+        image.write_bytes(b"P6\n0 0\n255\n")
+        out = tmp_path / "run"
+        rc = main([*command.split(), "--config", small_cfg, "--data", str(data),
+                   "--out", str(out), "--epochs", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {image}: width is 0 at byte 3\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # it diverges on purpose
     def test_divergence_aborts_with_numeric_exit(self, tmp_path, dataset,

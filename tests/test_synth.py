@@ -85,8 +85,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             make_cfg(min_things=3, max_things=1)
         with pytest.raises(ValueError):
-            make_cfg(shapes=("triangle",))
-        with pytest.raises(ValueError):
             make_cfg(twin_mode=True, max_things=1)
 
 
@@ -123,6 +121,16 @@ class TestNetpbm:
         p = tmp_path / "hdr.pgm"
         p.write_bytes(b"P5\n4 x\n255\n" + b"\0" * 16)
         with pytest.raises(DataFormatError, match="non-numeric"):
+            synth.load_pgm(p)
+
+    @pytest.mark.parametrize("header, field", [
+        (b"P5\n0 0\n255\n", "width is 0 at byte 3"),
+        (b"P5\n4 0\n255\n", "height is 0 at byte 5"),
+    ], ids=("width", "height"))
+    def test_zero_size_rejected(self, tmp_path, header, field):
+        p = tmp_path / "empty.pgm"
+        p.write_bytes(header)
+        with pytest.raises(DataFormatError, match=field):
             synth.load_pgm(p)
 
     def test_comments_in_header_accepted(self, tmp_path):
