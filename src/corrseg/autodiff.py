@@ -26,6 +26,10 @@ from .rng import SplitMix64
 
 _GRAD_ENABLED = True
 
+# Rows of the (B, H*W) softmax weights that outer_softmax_matmul handles
+# at a time: 32 x 1024 float64 is 256 KiB, which stays in L2.
+OUTER_BLOCK = 32
+
 
 @contextmanager
 def no_grad():
@@ -93,9 +97,15 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add `g` to this tensor's gradient.
+
+        ``owned=True`` says the producer just allocated `g` and holds no
+        other reference to it, so a first gradient is kept as is; any
+        other first gradient (a view or a broadcast) is copied.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = g if owned else np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -254,7 +264,7 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
         if a.requires_grad:
             a._accum(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
+            b._accum(_unbroadcast(-g, b.shape), owned=True)
 
     return _make(a.data - b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
@@ -265,9 +275,9 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
+            a._accum(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
+            b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
@@ -278,9 +288,9 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape))
+            a._accum(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return _make(a.data / b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
@@ -291,7 +301,7 @@ def scale(a: TensorLike, c: float) -> Tensor:
     c = float(c)
 
     def grad_fn(g):
-        a._accum(g * c)
+        a._accum(g * c, owned=True)
 
     return _make(a.data * c, (a,), grad_fn, a.requires_grad)
 
@@ -312,7 +322,7 @@ def sin(a: TensorLike) -> Tensor:
     a = as_tensor(a)
 
     def grad_fn(g):
-        a._accum(g * np.cos(a.data))
+        a._accum(g * np.cos(a.data), owned=True)
 
     return _make(np.sin(a.data), (a,), grad_fn, a.requires_grad)
 
@@ -321,7 +331,7 @@ def cos(a: TensorLike) -> Tensor:
     a = as_tensor(a)
 
     def grad_fn(g):
-        a._accum(-g * np.sin(a.data))
+        a._accum(-g * np.sin(a.data), owned=True)
 
     return _make(np.cos(a.data), (a,), grad_fn, a.requires_grad)
 
@@ -331,7 +341,7 @@ def exp(a: TensorLike) -> Tensor:
     out_data = np.exp(a.data)
 
     def grad_fn(g):
-        a._accum(g * out_data)
+        a._accum(g * out_data, owned=True)
 
     return _make(out_data, (a,), grad_fn, a.requires_grad)
 
@@ -340,7 +350,7 @@ def log(a: TensorLike) -> Tensor:
     a = as_tensor(a)
 
     def grad_fn(g):
-        a._accum(g / a.data)
+        a._accum(g / a.data, owned=True)
 
     return _make(np.log(a.data), (a,), grad_fn, a.requires_grad)
 
@@ -349,7 +359,7 @@ def relu(a: TensorLike) -> Tensor:
     a = as_tensor(a)
 
     def grad_fn(g):
-        a._accum(g * (a.data > 0))
+        a._accum(g * (a.data > 0), owned=True)
 
     return _make(np.maximum(a.data, 0.0), (a,), grad_fn, a.requires_grad)
 
@@ -369,7 +379,7 @@ def sigmoid(a: TensorLike) -> Tensor:
     out_data = stable_sigmoid(a.data)
 
     def grad_fn(g):
-        a._accum(g * out_data * (1.0 - out_data))
+        a._accum(g * out_data * (1.0 - out_data), owned=True)
 
     return _make(out_data, (a,), grad_fn, a.requires_grad)
 
@@ -395,7 +405,7 @@ def log_softmax(a: TensorLike, axis: int = -1) -> Tensor:
     out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def grad_fn(g):
-        a._accum(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+        a._accum(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), owned=True)
 
     return _make(out_data, (a,), grad_fn, a.requires_grad)
 
@@ -443,7 +453,7 @@ def take(a: TensorLike, key) -> Tensor:
             full[key] += g
         else:
             np.add.at(full, key, g)
-        a._accum(full)
+        a._accum(full, owned=True)
 
     return _make(a.data[key], (a,), grad_fn, a.requires_grad)
 
@@ -480,9 +490,9 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a._accum(np.matmul(g, b.data.swapaxes(-1, -2)))
+            a._accum(np.matmul(g, b.data.swapaxes(-1, -2)), owned=True)
         if b.requires_grad:
-            b._accum(np.matmul(a.data.swapaxes(-1, -2), g))
+            b._accum(np.matmul(a.data.swapaxes(-1, -2), g), owned=True)
 
     return _make(np.matmul(a.data, b.data), (a, b), grad_fn,
                  a.requires_grad or b.requires_grad)
@@ -505,12 +515,12 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
 
     def grad_fn(g):
         if values.requires_grad:
-            values._accum(np.matmul(p.swapaxes(-1, -2), g))
+            values._accum(np.matmul(p.swapaxes(-1, -2), g), owned=True)
         if logits.requires_grad:
             dlogits = np.matmul(g, values.data.swapaxes(-1, -2))
             dlogits -= (g * out_data).sum(axis=-1, keepdims=True)
             dlogits *= p
-            logits._accum(dlogits)
+            logits._accum(dlogits, owned=True)
 
     return _make(out_data, (logits, values), grad_fn,
                  logits.requires_grad or values.requires_grad)
@@ -540,6 +550,15 @@ def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
     (E @ values) / s.  With gs = G / s: dvalues = E^T gs and
     dlogits = E * (gs values^T - rowsum(gs * out)), which reaches rows
     and cols as two batched matrix-vector products with cols and rows.
+
+    Both passes walk the B rows in blocks of OUTER_BLOCK, so each block
+    of E is reused while it is in cache.  The forward writes a block's
+    products with one einsum into E, then exponentiates, sums and
+    multiplies it by values in place.  The backward adds the block's
+    share of dvalues and builds its rows of dlogits in one block-sized
+    scratch buffer, so no second (B, H*W) array exists.  Per element the
+    arithmetic is that of the unblocked node; only the GEMMs' summation
+    order can depend on the block size.
     """
     rows, cols, values = as_tensor(rows), as_tensor(cols), as_tensor(values)
     if rows.ndim != 2 or cols.ndim != 2 or values.ndim != 2:
@@ -554,27 +573,42 @@ def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
             f"outer_softmax_matmul shapes incompatible: {rows.shape} x "
             f"{cols.shape} @ {values.shape}"
         )
-    e = np.multiply(rows.data[:, :, None], cols.data[:, None, :])
-    e -= _outer_max(rows.data, cols.data)[:, None, None]
-    np.exp(e, out=e)
-    e = e.reshape(b, h * w)
-    s = e.sum(axis=1, keepdims=True)
-    out_data = e @ values.data
+    rowmax = _outer_max(rows.data, cols.data)[:, None, None]
+    e = np.empty((b, h, w))
+    s = np.empty((b, 1))
+    out_data = np.empty((b, values.shape[1]))
+    for lo in range(0, b, OUTER_BLOCK):
+        blk = slice(lo, lo + OUTER_BLOCK)
+        eb = e[blk]
+        np.einsum("uy,ux->uyx", rows.data[blk], cols.data[blk], out=eb)
+        eb -= rowmax[blk]
+        np.exp(eb, out=eb)
+        eb = eb.reshape(-1, h * w)
+        eb.sum(axis=1, keepdims=True, out=s[blk])
+        np.matmul(eb, values.data, out=out_data[blk])
     out_data /= s
+    e = e.reshape(b, h * w)
 
     def grad_fn(g):
         gs = g / s
-        if values.requires_grad:
-            values._accum(e.T @ gs)
-        if rows.requires_grad or cols.requires_grad:
-            dlogits = gs @ values.data.T
-            dlogits -= (gs * out_data).sum(axis=1, keepdims=True)
-            dlogits *= e
-            dlogits = dlogits.reshape(b, h, w)
-            if rows.requires_grad:
-                rows._accum(np.matmul(dlogits, cols.data[:, :, None])[:, :, 0])
-            if cols.requires_grad:
-                cols._accum(np.matmul(rows.data[:, None, :], dlogits)[:, 0, :])
+        rowsum = (gs * out_data).sum(axis=1, keepdims=True)
+        dvalues = np.zeros(values.shape)
+        drows, dcols = np.empty(rows.shape), np.empty(cols.shape)
+        scratch = np.empty((min(b, OUTER_BLOCK), h * w))
+        for lo in range(0, b, OUTER_BLOCK):
+            blk = slice(lo, lo + OUTER_BLOCK)
+            eb, gb = e[blk], gs[blk]
+            dvalues += eb.T @ gb
+            dlogits = scratch[:len(eb)]
+            np.matmul(gb, values.data.T, out=dlogits)
+            dlogits -= rowsum[blk]
+            dlogits *= eb
+            dlogits = dlogits.reshape(-1, h, w)
+            drows[blk] = np.matmul(dlogits, cols.data[blk, :, None])[:, :, 0]
+            dcols[blk] = np.matmul(rows.data[blk, None, :], dlogits)[:, 0, :]
+        for t, grad in ((values, dvalues), (rows, drows), (cols, dcols)):
+            if t.requires_grad:
+                t._accum(grad, owned=True)
 
     return _make(out_data, (rows, cols, values), grad_fn,
                  rows.requires_grad or cols.requires_grad or values.requires_grad)
@@ -607,16 +641,54 @@ def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1):
     return flat, out.reshape(ho, wo, kernel.shape[3])
 
 
+def _strided_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int, shape):
+    """Input gradient of a same-padded conv sampled every `stride` >= 2.
+
+    With pad p = (k - 1) // 2, input row i = stride*m + r (0 <= r <
+    stride) gets tap dy = r + p - stride*a from output row m + a, and
+    only the n = (stride - 1 + p) // stride + 1 offsets a = 0..n-1 can
+    give a tap (n = 2 for 3x3 kernels, 1 for 1x1).  So the gradient is
+    an n x n correlation of `g`, with n - 1 zero rows and columns
+    appended, against a kernel packed as (n, n, C_out) -> (stride,
+    stride, C_in) whose block (a, b, ry, rx) is kernel[dy, dx]^T, or
+    zero where dy or dx is no tap.  The stride*stride phase planes are
+    then interleaved and cropped to `shape`.  Against correlating the
+    zero-filled stride-1 gradient, this skips the filled-in zeros.
+    """
+    k, _, c_in, c_out = kernel.shape
+    ho, wo = g.shape[:2]
+    p = (k - 1) // 2
+    n = (stride - 1 + p) // stride + 1
+    taps = np.arange(stride)[:, None] + p - stride * np.arange(n)
+    taps = np.where((taps >= 0) & (taps < k), taps, k)  # k picks the zero pad
+    padded = np.zeros((k + 1, k + 1, c_in, c_out))
+    padded[:k, :k] = kernel
+    # packed[a, b, o, ry, rx, i] = padded[taps[ry, a], taps[rx, b], i, o]
+    packed = padded[taps.T[:, None, :, None], taps.T[None, :, None, :]]
+    packed = packed.transpose(0, 1, 5, 2, 3, 4).reshape(n * n * c_out, -1)
+    gp = np.zeros((ho + n - 1, wo + n - 1, c_out))
+    gp[:ho, :wo] = g
+    sy, sx, sc = gp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        gp, (ho, wo, n, n, c_out), (sy, sx, sy, sx, sc), writeable=False
+    )
+    phases = windows.reshape(ho * wo, n * n * c_out) @ packed
+    dense = phases.reshape(ho, wo, stride, stride, c_in).transpose(0, 2, 1, 3, 4)
+    dense = dense.reshape(ho * stride, wo * stride, c_in)
+    return np.ascontiguousarray(dense[:shape[0], :shape[1]])
+
+
 def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     """Same-padded cross-correlation, sampled every `stride` pixels.
 
     x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3}; stride >= 1.
     Output (ceil(H/stride), ceil(W/stride), C_out): the stride-1 output
     at rows and columns 0, stride, 2*stride, ..., computed only there.
-    Differentiable w.r.t. both arguments.  The input gradient is the
-    transposed convolution: the output gradient, zero-filled back to the
-    stride-1 grid, correlated with the kernel flipped in both spatial
-    axes and with its channel axes swapped.
+    Differentiable w.r.t. both arguments.  At stride 1 the input
+    gradient is the transposed convolution: the output gradient
+    correlated with the kernel flipped in both spatial axes and with its
+    channel axes swapped.  At larger strides it is the polyphase form of
+    the same sum, :func:`_strided_input_grad`.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -634,14 +706,14 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     def grad_fn(g):
         if kernel.requires_grad:
             gflat = g.reshape(ho * wo, c_out)
-            kernel._accum((flat.T @ gflat).reshape(kernel.shape))
+            kernel._accum((flat.T @ gflat).reshape(kernel.shape), owned=True)
         if x.requires_grad:
-            dense = g
             if stride > 1:
-                dense = np.zeros(x.shape[:2] + (c_out,))
-                dense[::stride, ::stride] = g
-            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
-            x._accum(_same_correlate(dense, flipped)[1])
+                dx = _strided_input_grad(g, kernel.data, stride, x.shape)
+            else:
+                flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
+                dx = _same_correlate(g, flipped)[1]
+            x._accum(dx, owned=True)
 
     return _make(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
 

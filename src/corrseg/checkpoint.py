@@ -18,6 +18,7 @@ the requested one.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +37,11 @@ _SCM_MODES = ("global", "axial")
 
 
 def save_checkpoint(path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write `arrays` to `path` through ``<path>.tmp`` and a rename.
+
+    A save that fails or is killed partway leaves any earlier file at
+    `path` whole.
+    """
     chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for name in sorted(arrays):
         data = np.asarray(arrays[name], dtype="<f8", order="C")
@@ -45,7 +51,13 @@ def save_checkpoint(path, arrays: Dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
         chunks.append(data.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:

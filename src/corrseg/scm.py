@@ -9,8 +9,10 @@ attention.  Two aggregation modes:
   cost O((HW)^2 C).  Each location's logits are the outer product of its
   vertical and horizontal profiles, so the softmax and the weighted sum
   are one ``autodiff.outer_softmax_matmul`` node that takes the two
-  profiles; it keeps one (HW, HW) buffer, and the (HW)^2 logits and
-  their gradient never become graph tensors.  Feature maps above
+  profiles.  It keeps one (HW, HW) buffer of softmax weights, and its
+  backward builds the logits' gradient a block of rows at a time, so
+  neither the (HW)^2 logits nor their gradient becomes a graph tensor
+  or a second (HW, HW) array.  Feature maps above
   ``MAX_GLOBAL_LOCATIONS`` locations are refused;
 - axial (default): independent softmaxes along the row and the column of
   each location, summed, cost O(HW (H+W) C).  Each softmax and the
@@ -36,8 +38,9 @@ from .corrfn import CorrParamField, corr_profile
 from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
 
-# Global mode holds (HW, HW) float64 buffers: 4096 locations is 128 MiB
-# each, reached by 256x256 scenes at the backbone's stride of 4.
+# Global mode holds one (HW, HW) float64 buffer per aggregation: 4096
+# locations is 128 MiB, reached by 256x256 scenes at the backbone's
+# stride of 4.
 MAX_GLOBAL_LOCATIONS = 4096
 
 

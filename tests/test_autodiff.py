@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,18 +241,20 @@ def mixed_sign_with_zeros(shape, seed):
     return x
 
 
+BLOCK = ad.OUTER_BLOCK
+
+
 class TestOuterSoftmaxMatmul:
     B, H, W, C = 5, 3, 4, 2
 
-    def operands(self, seed):
-        return (mixed_sign_with_zeros((self.B, self.H), seed),
-                mixed_sign_with_zeros((self.B, self.W), seed + 1),
+    def operands(self, seed, b=B):
+        return (mixed_sign_with_zeros((b, self.H), seed),
+                mixed_sign_with_zeros((b, self.W), seed + 1),
                 rand((self.H * self.W, self.C), seed=seed + 2))
 
-    @pytest.mark.parametrize("arg", [0, 1, 2])
-    def test_fd_each_argument(self, arg):
-        operands = [ad.Tensor(x) for x in self.operands(seed=50)]
-        w = ad.Tensor(rand((self.B, self.C), seed=53))
+    def assert_fd_matches(self, arg, b, seed):
+        operands = [ad.Tensor(x) for x in self.operands(seed=seed, b=b)]
+        w = ad.Tensor(rand((b, self.C), seed=seed + 3))
 
         def prog(t):
             args = list(operands)
@@ -259,11 +263,19 @@ class TestOuterSoftmaxMatmul:
 
         assert oracles.check_gradients(prog, operands[arg]) < TOL
 
-    def test_matches_outer_then_softmax_matmul(self):
-        w = rand((self.B, self.C), seed=57)
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_fd_each_argument(self, arg):
+        self.assert_fd_matches(arg, self.B, seed=50)
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_fd_each_argument_across_blocks(self, arg):
+        self.assert_fd_matches(arg, BLOCK + 3, seed=61)
+
+    def assert_matches_outer_then_softmax_matmul(self, b):
+        w = rand((b, self.C), seed=57)
         results = []
         for fn in (ad.outer_softmax_matmul, outer_then_softmax_matmul):
-            args = [ad.Tensor(x, requires_grad=True) for x in self.operands(seed=54)]
+            args = [ad.Tensor(x, requires_grad=True) for x in self.operands(seed=54, b=b)]
             out = fn(*args)
             ad.mul(out, w).sum().backward()
             results.append((out.data, *(t.grad for t in args)))
@@ -272,17 +284,39 @@ class TestOuterSoftmaxMatmul:
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_matches_outer_then_softmax_matmul(self):
+        self.assert_matches_outer_then_softmax_matmul(self.B)
+
+    @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_every_block_split_matches_outer_then_softmax_matmul(self, b):
+        self.assert_matches_outer_then_softmax_matmul(b)
+
     def test_large_logits_stay_finite(self):
-        rows = ad.Tensor(rand((self.B, self.H), seed=58, lo=-1e3, hi=1e3), requires_grad=True)
-        cols = ad.Tensor(rand((self.B, self.W), seed=59, lo=-1e3, hi=1e3), requires_grad=True)
+        b = 2 * BLOCK + 5
+        rows = ad.Tensor(rand((b, self.H), seed=58, lo=-1e3, hi=1e3), requires_grad=True)
+        cols = ad.Tensor(rand((b, self.W), seed=59, lo=-1e3, hi=1e3), requires_grad=True)
         values = ad.Tensor(rand((self.H * self.W, self.C), seed=60), requires_grad=True)
         out = ad.outer_softmax_matmul(rows, cols, values)
         out.sum().backward()
         for x in (out.data, rows.grad, cols.grad, values.grad):
             assert np.all(np.isfinite(x))
         # Logits ~1e6 apart: each output row is the value row of its argmax.
-        logits = (rows.data[:, :, None] * cols.data[:, None, :]).reshape(self.B, -1)
+        logits = (rows.data[:, :, None] * cols.data[:, None, :]).reshape(b, -1)
         np.testing.assert_allclose(out.data, values.data[logits.argmax(axis=1)], atol=1e-12)
+
+    def test_backward_allocates_no_second_weight_array(self):
+        b, h, w, c = 1024, 32, 32, 16
+        rows = ad.Tensor(rand((b, h), seed=65), requires_grad=True)
+        cols = ad.Tensor(rand((b, w), seed=66), requires_grad=True)
+        values = ad.Tensor(rand((h * w, c), seed=67), requires_grad=True)
+        loss = ad.mul(ad.outer_softmax_matmul(rows, cols, values), rand((b, c), seed=68)).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * h * w * 8 / 4
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -388,7 +422,7 @@ class TestConv2d:
         for got, want in zip((xt.grad, kt.grad), oracles.conv2d_grads(x, k, weights, stride)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("ksize", [1, 3])
     def test_grads_match_scatter_add_oracle(self, ksize, stride):
         # Odd, non-square input; C_in != C_out.  The input is a
@@ -400,6 +434,14 @@ class TestConv2d:
     def test_stem2_shape_grads_match_scatter_add_oracle(self):
         x = rand((32, 32, 16), seed=41)
         k = rand((3, 3, 16, 16), seed=42)
+        self.assert_grads_match_oracle(x, k, 2)
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 6), (2, 5), (6, 1), (5, 2), (2, 2), (7, 4), (4, 7)])
+    def test_strided_input_grad_edge_shapes_match_oracle(self, ksize, hw):
+        # One output row or column, odd x even sides; C_in != C_out.
+        x = rand(hw + (3,), seed=43)
+        k = rand((ksize, ksize, 3, 5), seed=44)
         self.assert_grads_match_oracle(x, k, 2)
 
 
@@ -431,6 +473,26 @@ class TestBackwardSemantics:
             y = y + 0.0
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+    def test_no_two_tensors_share_grad_memory(self):
+        a = ad.Tensor(rand((2, 3), seed=70), requires_grad=True)
+        b = ad.Tensor(rand((2, 3), seed=71), requires_grad=True)
+        t = ad.add(a + a, b) + 0.5
+        c = ad.concat([t, a, b * 2.0], axis=0)
+        r = ad.reshape(ad.transpose(c, (1, 0)), (6, 3))
+        loss = (r * rand((6, 3), seed=72)).sum()
+        loss.backward()
+        grads = [n.grad for n in loss._topo_order() if n.grad is not None]
+        assert len(grads) == 11
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+
+    def test_leaf_reached_by_two_owned_grads_holds_their_sum(self):
+        x = ad.Tensor(rand((2, 3), seed=73), requires_grad=True)
+        w = rand((2, 3), seed=74)
+        ((x * 2.0 + x * 3.0) * w).sum().backward()
+        np.testing.assert_array_equal(x.grad, w * 2.0 + w * 3.0)
 
     def test_no_grad_blocks_graph(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

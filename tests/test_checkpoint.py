@@ -64,6 +64,23 @@ class TestRoundTrip:
         for name, p in model.parameters().items():
             assert np.array_equal(clone.parameters()[name].data, p.data), name
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.bin"
+        old = {"w": np.arange(4.0)}
+        save_checkpoint(path, old)
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.ones(1000)})
+        monkeypatch.undo()
+        assert np.array_equal(load_checkpoint(path)["w"], old["w"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
 
 class TestCorruption:
     def saved(self, tmp_path):
