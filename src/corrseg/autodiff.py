@@ -122,7 +122,7 @@ class Tensor:
         """Populate grads of every requires_grad tensor reachable from self.
 
         Only scalar (single-element) losses are accepted, and a second call
-        on the same output without :meth:`reset_backward` is rejected.
+        on the same output is rejected.
         """
         if self.size != 1:
             raise AutodiffError(
@@ -130,8 +130,7 @@ class Tensor:
             )
         if self._done:
             raise AutodiffError(
-                "backward already ran for this tensor; call reset_backward() "
-                "or rebuild the graph"
+                "backward already ran for this tensor; rebuild the graph"
             )
         self._done = True
 
@@ -140,12 +139,6 @@ class Tensor:
         for node in reversed(order):
             if node._grad_fn is not None and node.grad is not None:
                 node._grad_fn(node.grad)
-
-    def reset_backward(self) -> None:
-        """Clear the backward-done flag and grads of this graph's nodes."""
-        for node in self._topo_order():
-            node.grad = None
-        self._done = False
 
     def _topo_order(self) -> list:
         # Iterative DFS; graphs from long training steps exceed Python's
@@ -210,18 +203,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.size if axis is None else int(
-            np.prod([self.shape[a] for a in np.atleast_1d(axis)])
-        )
-        return scale(tsum(self, axis=axis, keepdims=keepdims), 1.0 / n)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 TensorLike = Union[Tensor, np.ndarray, float, int, Sequence]

@@ -94,7 +94,9 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
         )
     count = reader.u32("entry count")
     arrays: Dict[str, np.ndarray] = {}
+    previous = None
     for _ in range(count):
+        start = reader.pos
         name_len = reader.u32("name length")
         try:
             name = reader.take(name_len, "entry name").decode("utf-8")
@@ -103,6 +105,13 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
                 f"{reader.path}: entry name ending at byte {reader.pos} "
                 "is not UTF-8"
             ) from None
+        # Strictly ascending names rule out a repeated entry.
+        if previous is not None and name <= previous:
+            raise DataFormatError(
+                f"{reader.path}: entry {name!r} at byte {start} does not come "
+                f"after {previous!r}; names must be strictly ascending"
+            )
+        previous = name
         rank = reader.u32(f"rank of {name!r}")
         shape = struct.unpack(
             f"<{rank}Q", reader.take(8 * rank, f"extents of {name!r}")

@@ -35,7 +35,7 @@ from .checkpoint import (
     model_state,
     save_checkpoint,
 )
-from .corrfn import corr_profile
+from .corrfn import field_profiles
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .metrics import PqAccumulator
 from .model import InstancePrediction, ModelConfig, PanopticModel, check_scene_size
@@ -286,6 +286,16 @@ def cmd_train(merged: Dict[str, object]) -> int:
     return 0
 
 
+def _load_model(merged: Dict[str, object], cfg: ModelConfig) -> PanopticModel:
+    """The model of ``cfg`` with every parameter read from the checkpoint.
+
+    Loading overwrites every parameter, so the init seed has no effect.
+    """
+    model = PanopticModel(cfg, SplitMix64(0))
+    load_model_state(model, load_checkpoint(merged["checkpoint"]), str(merged["checkpoint"]))
+    return model
+
+
 def _oracle_prediction(scene: SyntheticScene) -> InstancePrediction:
     return InstancePrediction(
         masks=np.stack([mask for mask, _ in scene.instances]),
@@ -322,10 +332,7 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         ])
         variant = "oracle"
     else:
-        arrays = load_checkpoint(merged["checkpoint"])
-        model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
-        load_model_state(model, arrays, str(merged["checkpoint"]))
-        result, rate = evaluate_scenes(model, scenes)
+        result, rate = evaluate_scenes(_load_model(merged, cfg), scenes)
         variant = "model"
 
     write_report(out / "report.csv", [report_row(variant, result, rate, 0.0)])
@@ -364,10 +371,7 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    arrays = load_checkpoint(merged["checkpoint"])
-    model = PanopticModel(cfg, SplitMix64(int(merged["train_seed"])))
-    load_model_state(model, arrays, str(merged["checkpoint"]))
-
+    model = _load_model(merged, cfg)
     with no_grad():
         features = model.backbone(scene_image(scene))
         if branch == "scm":
@@ -391,8 +395,8 @@ def cmd_viz(merged: Dict[str, object]) -> int:
             raise ConfigError(
                 f"point {x},{y} is outside the {width}x{height} feature map"
             )
-        hor = corr_profile(field.hor[y, x], np.arange(width), width).data
-        ver = corr_profile(field.ver[y, x], np.arange(height), height).data
+        hor, ver = field_profiles(field, np.arange(width), np.arange(height))
+    hor, ver = hor.data[y, x], ver.data[y, x]
 
     corr_map = np.multiply.outer(ver, hor)
     lo = float(corr_map.min())

@@ -12,7 +12,9 @@ Since A sin(x + psi) = (A cos psi) sin x + (A sin psi) cos x, the one
 evaluator, :func:`corr_profile`, computes a0 + [A cos psi | A sin psi] @ B,
 where B is the constant (2N, M) basis of sin(n (pi / L) j) and
 cos(n (pi / L) j) over the M sample positions: transcendentals run per
-location and harmonic, not per sample.
+location and harmonic, not per sample.  :func:`field_profiles` applies
+it to a whole parameter field, one axis at a time, and is the one place
+the modules and the CLI get profiles from.
 
 The 2D form is separable: a product of an independent horizontal and
 vertical 1D function per location.  This keeps opposite row ends
@@ -87,3 +89,11 @@ def corr_profile(theta: Tensor, coords, length: int) -> Tensor:
     waves = ad.reshape(ad.matmul(ad.reshape(coeffs, (rows, 2 * n)), basis),
                        lead + (coords.size,))
     return ad.add(waves, theta[..., 0:1])
+
+
+def field_profiles(field: CorrParamField, xs, ys):
+    """Every location's horizontal profile at columns `xs` and vertical
+    profile at rows `ys`: (H, W, len(xs)) and (H, W, len(ys)) Tensors,
+    with L taken as the field's own W and H."""
+    return (corr_profile(field.hor, xs, field.width),
+            corr_profile(field.ver, ys, field.height))

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import scm
 from .autodiff import Tensor
-from .corrfn import CorrParamField, corr_profile
+from .corrfn import CorrParamField, field_profiles
 from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
 
@@ -30,7 +30,6 @@ from .rng import SplitMix64
 class ReferenceGrid:
     """Centers of a uniform s-by-s partition of an H-by-W feature map."""
 
-    s: int
     height: int
     width: int
     points: np.ndarray  # (s*s, 2) as (x, y), row-major over grid cells
@@ -47,7 +46,7 @@ def make_reference_grid(height: int, width: int, s: int) -> ReferenceGrid:
     ii, jj = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
     xs = (jj.reshape(-1) + 0.5) * width / s
     ys = (ii.reshape(-1) + 0.5) * height / s
-    return ReferenceGrid(s=s, height=height, width=width,
+    return ReferenceGrid(height=height, width=width,
                          points=np.stack([xs, ys], axis=1))
 
 
@@ -58,9 +57,7 @@ def reference_correlations(field: CorrParamField, refs: ReferenceGrid) -> Tensor
             f"reference grid built for {refs.height}x{refs.width}, "
             f"parameter field is {field.height}x{field.width}"
         )
-    hor = corr_profile(field.hor, refs.points[:, 0], refs.width)
-    ver = corr_profile(field.ver, refs.points[:, 1], refs.height)
-    return ad.mul(hor, ver)
+    return ad.mul(*field_profiles(field, refs.points[:, 0], refs.points[:, 1]))
 
 
 @dataclass

@@ -34,14 +34,6 @@ class PanopticSegmentation:
                 f"instance {self.instance.shape}"
             )
 
-    @property
-    def height(self) -> int:
-        return self.category.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.category.shape[1]
-
 
 def matrix_nms(pred: InstancePrediction) -> InstancePrediction:
     """Return predictions sorted by incoming score with decayed scores.

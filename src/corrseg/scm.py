@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corrfn import CorrParamField, corr_profile
+from .corrfn import CorrParamField, field_profiles
 from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
 
@@ -95,13 +95,6 @@ def _require_matching(features: Tensor, field: CorrParamField) -> None:
         )
 
 
-def _profiles(field: CorrParamField, height: int, width: int):
-    """Correlation of each location to every column (hor) and row (ver)."""
-    hor = corr_profile(field.hor, np.arange(width, dtype=float), width)
-    ver = corr_profile(field.ver, np.arange(height, dtype=float), height)
-    return hor, ver  # (H, W, W) and (H, W, H)
-
-
 def check_global_size(height: int, width: int) -> None:
     """Refuse a global-mode feature map above MAX_GLOBAL_LOCATIONS."""
     if height * width > MAX_GLOBAL_LOCATIONS:
@@ -116,7 +109,7 @@ def aggregate_global(features: Tensor, field: CorrParamField) -> Tensor:
     _require_matching(features, field)
     h, w, c = features.shape
     check_global_size(h, w)
-    hor, ver = _profiles(field, h, w)
+    hor, ver = field_profiles(field, np.arange(w), np.arange(h))
     # Per location, the outer product of its column and row profiles.
     out = ad.outer_softmax_matmul(ad.reshape(ver, (h * w, h)),
                                   ad.reshape(hor, (h * w, w)),
@@ -128,7 +121,7 @@ def axial_terms(features: Tensor, field: CorrParamField):
     """Row- and column-aggregated features, each under its own softmax."""
     _require_matching(features, field)
     h, w = features.shape[0], features.shape[1]
-    hor, ver = _profiles(field, h, w)
+    hor, ver = field_profiles(field, np.arange(w), np.arange(h))  # (H,W,W), (H,W,H)
     row_term = ad.softmax_matmul(hor, features)  # (H,W,W) @ (H,W,C)
     col_logits = ad.transpose(ver, (1, 0, 2))  # (W,H,H)
     col_feats = ad.transpose(features, (1, 0, 2))  # (W,H,C)

@@ -182,38 +182,29 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
 
     occupied = np.zeros((h, w), dtype=bool)
     instances: List[Tuple[np.ndarray, int]] = []
-
-    def commit(mask: np.ndarray, category: int, color: np.ndarray) -> None:
+    first_center: Optional[Tuple[int, int]] = None
+    for k in range(requested):
+        retries, min_dist_from = _PLACEMENT_RETRIES, None
+        if cfg.twin_mode and k == 0:
+            # Twins are drawn from the upper half of the size range so their
+            # masks stay comfortably resolvable at the model's stride.
+            template = _draw_template(cfg, rng, size_range=(0.12, 0.17))
+        elif cfg.twin_mode and k == 1:
+            # The second twin reuses the first one's template.
+            retries, min_dist_from = _TWIN_RETRIES, first_center
+        else:
+            template = _draw_template(cfg, rng)
+        kind, dims, category, color = template
+        spot = _place(cfg, rng, kind, dims, occupied, retries, min_dist_from)
+        if spot is None:
+            continue
+        cx, cy, mask = spot
+        if k == 0:
+            first_center = (cx, cy)
         occupied[mask] = True
         semantic[mask] = category
         image[mask] = color
         instances.append((mask, category))
-
-    placed_first_twin: Optional[Tuple[int, int]] = None
-    for k in range(requested):
-        if cfg.twin_mode and k == 0:
-            # Twins are drawn from the upper half of the size range so their
-            # masks stay comfortably resolvable at the model's stride.
-            twin_template = _draw_template(cfg, rng, size_range=(0.12, 0.17))
-            kind, dims, category, color = twin_template
-            spot = _place(cfg, rng, kind, dims, occupied, _PLACEMENT_RETRIES)
-            if spot is None:
-                continue
-            placed_first_twin = (spot[0], spot[1])
-            commit(spot[2], category, color)
-        elif cfg.twin_mode and k == 1:
-            kind, dims, category, color = twin_template
-            spot = _place(cfg, rng, kind, dims, occupied, _TWIN_RETRIES,
-                          min_dist_from=placed_first_twin)
-            if spot is None:
-                continue
-            commit(spot[2], category, color)
-        else:
-            kind, dims, category, color = _draw_template(cfg, rng)
-            spot = _place(cfg, rng, kind, dims, occupied, _PLACEMENT_RETRIES)
-            if spot is None:
-                continue
-            commit(spot[2], category, color)
 
     meta = {
         "seed": str(cfg.seed),
@@ -347,7 +338,10 @@ def parse_keyvalue(text: str, source: str = "<string>") -> Dict[str, str]:
         if "=" not in line:
             raise DataFormatError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise DataFormatError(f"{source}:{lineno}: key {key!r} repeated")
+        out[key] = value.strip()
     return out
 
 

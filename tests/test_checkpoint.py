@@ -138,7 +138,31 @@ def wrapping_extents(path):
     path.write_bytes(one_entry((2**32, 2**32 - 1), bytes(64)))
 
 
-CRAFTED = {"non_utf8_name": non_utf8_name, "wrapping_extents": wrapping_extents}
+def second_entry_named(path, name):
+    """A valid checkpoint of scalar entries "b" and "c", with "c" renamed."""
+    save_checkpoint(path, {"b": np.asarray(1.0), "c": np.asarray(2.0)})
+    data = bytearray(path.read_bytes())
+    data[33] = ord(name)  # header 12, entry "b" 17, name length 4
+    path.write_bytes(bytes(data))
+
+
+def repeated_last_entry(path):
+    """A default model's checkpoint with its last entry written again,
+    zeroed: every entry the model needs is there, the copy comes last."""
+    state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
+    last = max(state)
+    save_checkpoint(path, state)
+    data = path.read_bytes()
+    save_checkpoint(path, {last: np.zeros_like(state[last])})
+    copy = path.read_bytes()[12:]
+    path.write_bytes(data[:8] + struct.pack("<I", len(state) + 1) + data[12:] + copy)
+
+
+CRAFTED = {
+    "non_utf8_name": non_utf8_name,
+    "wrapping_extents": wrapping_extents,
+    "repeated_last_entry": repeated_last_entry,
+}
 
 
 class TestFailsClosed:
@@ -158,6 +182,14 @@ class TestFailsClosed:
         path = tmp_path / "c.ckpt"
         path.write_bytes(one_entry((0, 2**63)))
         with pytest.raises(DataFormatError, match="extents"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["b", "a"])
+    def test_names_not_strictly_ascending_rejected(self, tmp_path, name):
+        path = tmp_path / "c.ckpt"
+        second_entry_named(path, name)
+        with pytest.raises(DataFormatError,
+                           match=f"entry '{name}' at byte 29 does not come after 'b'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("craft", sorted(CRAFTED))

@@ -21,6 +21,7 @@ from corrseg import icm
 from corrseg.autodiff import no_grad
 from corrseg.checkpoint import load_checkpoint, load_model_state
 from corrseg.cli import _DEFAULTS, _KEY_ORDER, main
+from corrseg.corrfn import field_profiles
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
 from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir, write_keyvalue
@@ -322,6 +323,16 @@ class TestTrain:
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {meta}: ")
 
+    def test_repeated_config_key_exits_3(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL + "epochs=3\nepochs=5\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {cfg}:8: key 'epochs' repeated\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval --oracle"])
     def test_zero_size_image_exits_3(self, tmp_path, dataset, small_cfg, capsys,
                                      command):
@@ -564,6 +575,22 @@ class TestViz:
         assert (lo, hi) == (corr_map.min(), corr_map.max())
         gray = np.rint((corr_map - lo) / (hi - lo) * 255.0)
         np.testing.assert_array_equal(load_pgm(out / "corr_map.pgm"), gray)
+
+    def test_profiles_are_the_modules_profiles(self, icm_run, dataset, tmp_path):
+        """viz reads the same field_profiles the ICM uses, bit for bit."""
+        _, run = icm_run
+        out = tmp_path / "v"
+        assert self.viz(icm_run, dataset, out, ["--point", "3,5"]) == 0
+        cfg = ModelConfig(channels=4, n_fourier=2, s_ref=2, grid_size=2, use_icm=True)
+        model = PanopticModel(cfg, SplitMix64(0))
+        load_model_state(model, load_checkpoint(run / "checkpoint.bin"))
+        with no_grad():
+            features = model.backbone(scene_image(load_scene(scene_dir(dataset, 7))))
+            field = icm.predict_params(features, model.instance_encoder)
+            profiles = field_profiles(field, np.arange(8), np.arange(8))
+        for axis, want in zip(("hor", "ver"), profiles):
+            lines = (out / f"profile_{axis}.csv").read_text().splitlines()[1:]
+            assert [float(line.split(",")[1]) for line in lines] == want.data[5, 3].tolist()
 
     def test_seed_defaults_to_first_scene(self, icm_run, dataset, tmp_path):
         out = tmp_path / "v"

@@ -123,7 +123,7 @@ class TestAggregateGlobal:
         assert max(t.size for t in graph) < (h * w) ** 2
 
     def test_too_many_locations_rejected_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(scm, "_profiles", None)  # any call would fail
+        monkeypatch.setattr(scm, "field_profiles", None)  # any call would fail
         side = int(np.sqrt(scm.MAX_GLOBAL_LOCATIONS))
         features = ad.Tensor(np.zeros((side + 1, side, 1)))
         with pytest.raises(ConfigError, match="global-mode SCM allows at most"):

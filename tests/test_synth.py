@@ -218,6 +218,13 @@ class TestScenePersistence:
             assert scene.semantic.shape == scene.image.shape[:2]
             assert all(0 <= c < synth.THING_CLASSES for _, c in scene.instances)
 
+    def test_repeated_manifest_key_rejected(self, tmp_path):
+        directory = self.saved(tmp_path)
+        meta = directory / "scene.meta"
+        meta.write_text(meta.read_text() + "categories=0\n")
+        with pytest.raises(DataFormatError, match=f"{meta}:9: key 'categories' repeated"):
+            synth.load_scene(directory)
+
     def test_malformed_manifest_line_rejected(self, tmp_path):
         d = tmp_path / "s"
         d.mkdir()
