@@ -44,6 +44,8 @@ def no_grad():
 
 
 def _broadcast_shape(a_shape, b_shape):
+    if a_shape == b_shape:
+        return a_shape
     try:
         return np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
@@ -212,7 +214,11 @@ def as_tensor(x: TensorLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, grad_fn, requires_grad) -> Tensor:
+def make_node(data, parents, grad_fn, requires_grad) -> Tensor:
+    """A Tensor holding `data` that, while gradients are enabled and
+    `requires_grad` is set, routes its gradient to `parents` by calling
+    ``grad_fn(g)``.  Every op, and every fused node outside this module,
+    is built through it."""
     out = Tensor(data)
     if requires_grad and _GRAD_ENABLED:
         out.requires_grad = True
@@ -234,7 +240,7 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data + b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
 
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
@@ -247,7 +253,7 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(-g, b.shape), owned=True)
 
-    return _make(a.data - b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data - b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
@@ -260,7 +266,7 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
 
-    return _make(a.data * b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data * b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
 
 def div(a: TensorLike, b: TensorLike) -> Tensor:
@@ -273,7 +279,7 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
-    return _make(a.data / b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data / b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
 
 def scale(a: TensorLike, c: float) -> Tensor:
@@ -284,7 +290,7 @@ def scale(a: TensorLike, c: float) -> Tensor:
     def grad_fn(g):
         a._accum(g * c, owned=True)
 
-    return _make(a.data * c, (a,), grad_fn, a.requires_grad)
+    return make_node(a.data * c, (a,), grad_fn, a.requires_grad)
 
 
 def add_scalar(a: TensorLike, c: float) -> Tensor:
@@ -293,7 +299,7 @@ def add_scalar(a: TensorLike, c: float) -> Tensor:
     def grad_fn(g):
         a._accum(g)
 
-    return _make(a.data + float(c), (a,), grad_fn, a.requires_grad)
+    return make_node(a.data + float(c), (a,), grad_fn, a.requires_grad)
 
 
 # -- elementwise unary ops ---------------------------------------------------
@@ -305,7 +311,7 @@ def sin(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(g * np.cos(a.data), owned=True)
 
-    return _make(np.sin(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.sin(a.data), (a,), grad_fn, a.requires_grad)
 
 
 def cos(a: TensorLike) -> Tensor:
@@ -314,7 +320,7 @@ def cos(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(-g * np.sin(a.data), owned=True)
 
-    return _make(np.cos(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.cos(a.data), (a,), grad_fn, a.requires_grad)
 
 
 def exp(a: TensorLike) -> Tensor:
@@ -324,7 +330,7 @@ def exp(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(g * out_data, owned=True)
 
-    return _make(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn, a.requires_grad)
 
 
 def log(a: TensorLike) -> Tensor:
@@ -333,7 +339,7 @@ def log(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(g / a.data, owned=True)
 
-    return _make(np.log(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.log(a.data), (a,), grad_fn, a.requires_grad)
 
 
 def relu(a: TensorLike) -> Tensor:
@@ -342,7 +348,7 @@ def relu(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(g * (a.data > 0), owned=True)
 
-    return _make(np.maximum(a.data, 0.0), (a,), grad_fn, a.requires_grad)
+    return make_node(np.maximum(a.data, 0.0), (a,), grad_fn, a.requires_grad)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -362,7 +368,7 @@ def sigmoid(a: TensorLike) -> Tensor:
     def grad_fn(g):
         a._accum(g * out_data * (1.0 - out_data), owned=True)
 
-    return _make(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn, a.requires_grad)
 
 
 # -- reductions and log-softmax -----------------------------------------------
@@ -377,7 +383,7 @@ def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.shape))
 
-    return _make(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn, a.requires_grad)
 
 
 def log_softmax(a: TensorLike, axis: int = -1) -> Tensor:
@@ -388,7 +394,7 @@ def log_softmax(a: TensorLike, axis: int = -1) -> Tensor:
     def grad_fn(g):
         a._accum(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), owned=True)
 
-    return _make(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn, a.requires_grad)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -401,7 +407,7 @@ def reshape(a: TensorLike, shape) -> Tensor:
     def grad_fn(g):
         a._accum(g.reshape(old_shape))
 
-    return _make(a.data.reshape(shape), (a,), grad_fn, a.requires_grad)
+    return make_node(a.data.reshape(shape), (a,), grad_fn, a.requires_grad)
 
 
 def transpose(a: TensorLike, axes) -> Tensor:
@@ -411,7 +417,7 @@ def transpose(a: TensorLike, axes) -> Tensor:
     def grad_fn(g):
         a._accum(g.transpose(inverse))
 
-    return _make(a.data.transpose(axes), (a,), grad_fn, a.requires_grad)
+    return make_node(a.data.transpose(axes), (a,), grad_fn, a.requires_grad)
 
 
 def take(a: TensorLike, key) -> Tensor:
@@ -436,7 +442,7 @@ def take(a: TensorLike, key) -> Tensor:
             np.add.at(full, key, g)
         a._accum(full, owned=True)
 
-    return _make(a.data[key], (a,), grad_fn, a.requires_grad)
+    return make_node(a.data[key], (a,), grad_fn, a.requires_grad)
 
 
 def concat(tensors: Iterable[TensorLike], axis: int = -1) -> Tensor:
@@ -449,7 +455,7 @@ def concat(tensors: Iterable[TensorLike], axis: int = -1) -> Tensor:
             if t.requires_grad:
                 t._accum(piece)
 
-    return _make(
+    return make_node(
         np.concatenate([t.data for t in ts], axis=axis),
         ts,
         grad_fn,
@@ -475,8 +481,8 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(np.matmul(a.data.swapaxes(-1, -2), g), owned=True)
 
-    return _make(np.matmul(a.data, b.data), (a, b), grad_fn,
-                 a.requires_grad or b.requires_grad)
+    return make_node(np.matmul(a.data, b.data), (a, b), grad_fn,
+                     a.requires_grad or b.requires_grad)
 
 
 def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
@@ -503,8 +509,8 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
             dlogits *= p
             logits._accum(dlogits, owned=True)
 
-    return _make(out_data, (logits, values), grad_fn,
-                 logits.requires_grad or values.requires_grad)
+    return make_node(out_data, (logits, values), grad_fn,
+                     logits.requires_grad or values.requires_grad)
 
 
 def _outer_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -591,11 +597,22 @@ def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
             if t.requires_grad:
                 t._accum(grad, owned=True)
 
-    return _make(out_data, (rows, cols, values), grad_fn,
-                 rows.requires_grad or cols.requires_grad or values.requires_grad)
+    return make_node(out_data, (rows, cols, values), grad_fn,
+                     rows.requires_grad or cols.requires_grad or values.requires_grad)
 
 
 # -- convolution ---------------------------------------------------------------
+
+
+def _windows(buf: np.ndarray, shape, stride: int) -> np.ndarray:
+    """Sliding (ho, wo, k, k, C) windows over the C-contiguous HWC `buf`.
+
+    Window (i, j) starts at pixel (stride*i, stride*j).  The ndarray
+    constructor over `buf`'s memory builds the same view as
+    ``as_strided`` at a fraction of its per-call cost.
+    """
+    sy, sx, sc = buf.strides
+    return np.ndarray(shape, buf.dtype, buf, 0, (stride * sy, stride * sx, sy, sx, sc))
 
 
 def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1):
@@ -608,16 +625,14 @@ def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1):
     k = kernel.shape[0]
     p = (k - 1) // 2
     h, w, c_in = x.shape
-    xp = x
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     if p:
         xp = np.zeros((h + 2 * p, w + 2 * p, c_in))
         xp[p:p + h, p:p + w] = x
-    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    sy, sx, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (ho, wo, k, k, c_in), (stride * sy, stride * sx, sy, sx, sc), writeable=False
-    )
-    flat = windows.reshape(ho * wo, k * k * c_in)
+        flat = _windows(xp, (ho, wo, k, k, c_in), stride).reshape(ho * wo, k * k * c_in)
+    else:
+        # A 1x1 window is the pixel itself; `x` may be a strided view.
+        flat = x[::stride, ::stride].reshape(ho * wo, c_in)
     out = flat @ kernel.reshape(k * k * c_in, kernel.shape[3])
     return flat, out.reshape(ho, wo, kernel.shape[3])
 
@@ -649,10 +664,7 @@ def _strided_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int, shape):
     packed = packed.transpose(0, 1, 5, 2, 3, 4).reshape(n * n * c_out, -1)
     gp = np.zeros((ho + n - 1, wo + n - 1, c_out))
     gp[:ho, :wo] = g
-    sy, sx, sc = gp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        gp, (ho, wo, n, n, c_out), (sy, sx, sy, sx, sc), writeable=False
-    )
+    windows = _windows(gp, (ho, wo, n, n, c_out), 1)
     phases = windows.reshape(ho * wo, n * n * c_out) @ packed
     dense = phases.reshape(ho, wo, stride, stride, c_in).transpose(0, 2, 1, 3, 4)
     dense = dense.reshape(ho * stride, wo * stride, c_in)
@@ -696,7 +708,7 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
                 dx = _same_correlate(g, flipped)[1]
             x._accum(dx, owned=True)
 
-    return _make(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
+    return make_node(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
 
 
 # -- parameters and optimization ---------------------------------------------------

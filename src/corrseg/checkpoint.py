@@ -3,12 +3,17 @@
 Layout, all little-endian:
 
     magic   4 bytes  b"CFLD"
-    version u32      currently 1
+    version u32      2 (1 is still read)
     count   u32      number of entries
-    entry   repeated count times, names in ascending order:
+    entry   repeated count times, names in strictly ascending order:
         name_len u32, name UTF-8,
         rank u32, extent u64 per dimension,
         data float64 C-order
+    crc     u32      zlib.crc32 of every byte before it (version 2 only)
+
+A version 2 file whose crc does not match its bytes is rejected, so a
+corrupted weight never loads silently.  Version 1 files, written before
+the trailer existed, carry no crc and load as before.
 
 Model configuration rides along as scalar entries named ``config.<key>``
 so evaluation can reject a checkpoint whose architecture does not match
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict
@@ -30,7 +36,7 @@ from .errors import DataFormatError
 from .model import ModelConfig, PanopticModel
 
 MAGIC = b"CFLD"
-VERSION = 1
+VERSION = 2
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig)) + ("k_thing", "k_stuff")
 _SCM_MODES = ("global", "axial")
@@ -51,25 +57,30 @@ def save_checkpoint(path, arrays: Dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
         chunks.append(data.tobytes())
+    body = b"".join(chunks)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(b"".join(chunks))
+        tmp.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 class _Reader:
+    """Reads `path`'s bytes in order, up to `end` (the whole file unless
+    narrowed to exclude a trailer)."""
+
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.data = self.path.read_bytes()
+        self.end = len(self.data)
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.end:
             raise DataFormatError(
-                f"{self.path}: truncated at byte {len(self.data)} "
+                f"{self.path}: truncated at byte {self.end} "
                 f"reading {what} ({n} bytes needed at offset {self.pos})"
             )
         out = self.data[self.pos:self.pos + n]
@@ -88,10 +99,14 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             f"{reader.path}: expected {MAGIC!r} magic at byte 0, found {magic!r}"
         )
     version = reader.u32("version")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise DataFormatError(
             f"{reader.path}: unsupported version {version} at byte 4"
         )
+    if version == VERSION:
+        # The entries end where the crc trailer starts; a file too short
+        # to hold one reads as truncated below.
+        reader.end = max(reader.pos, reader.end - 4)
     count = reader.u32("entry count")
     arrays: Dict[str, np.ndarray] = {}
     previous = None
@@ -126,11 +141,19 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             raise DataFormatError(
                 f"{reader.path}: entry {name!r} has unsupported extents {shape}"
             ) from None
-    if reader.pos != len(reader.data):
+    if reader.pos != reader.end:
         raise DataFormatError(
-            f"{reader.path}: {len(reader.data) - reader.pos} trailing bytes "
+            f"{reader.path}: {reader.end - reader.pos} trailing bytes "
             f"at byte {reader.pos}"
         )
+    if version == VERSION:
+        stored = struct.unpack("<I", reader.data[reader.end:])[0]
+        computed = zlib.crc32(reader.data[:reader.end])
+        if stored != computed:
+            raise DataFormatError(
+                f"{reader.path}: stored crc32 {stored:#010x} does not match "
+                f"the computed {computed:#010x} of bytes 0-{reader.end - 1}"
+            )
     return arrays
 
 

@@ -20,53 +20,85 @@ from .autodiff import Tensor
 from .model import STRIDE, ModelConfig, ModelOutputs
 from .synth import SyntheticScene
 
+
 def dice_loss(pred: Tensor, target: np.ndarray, eps: float = 1.0) -> Tensor:
     """1 - soft dice overlap over the last two axes; 0 when prediction
     equals a binary target.  A stack of (..., H, W) masks gives one term
-    per mask."""
+    per mask.
+
+    One graph node.  With I the intersection and D the denominator of a
+    mask, dL/dpred = [2 pred (2I + eps) - 2t (D + eps)] / (D + eps)^2.
+    """
     t = target.astype(float)
-    inter = ad.tsum(ad.mul(pred, Tensor(t)), axis=(-2, -1))
-    denom = ad.tsum(ad.mul(pred, pred), axis=(-2, -1)) + Tensor((t * t).sum(axis=(-2, -1)))
-    return 1.0 - (inter * 2.0 + eps) / (denom + eps)
+    inter = (pred.data * t).sum(axis=(-2, -1))
+    denom = (pred.data * pred.data).sum(axis=(-2, -1)) + (t * t).sum(axis=(-2, -1))
+    num, den = inter * 2.0 + eps, denom + eps
+    out = (num / den) * -1.0 + 1.0
 
+    def grad_fn(g):
+        n, d = num[..., None, None], den[..., None, None]
+        pred._accum(2.0 * (pred.data * n - t * d) * (g[..., None, None] / (d * d)),
+                    owned=True)
 
-def _log_sigmoid(z: Tensor) -> Tensor:
-    # log sigmoid(z) = -relu(-z) - log(1 + exp(-|z|)), exact for any z
-    mag = ad.relu(z) + ad.relu(-z)
-    return -(ad.relu(-z) + ad.log(ad.exp(-mag) + 1.0))
+    return ad.make_node(out, (pred,), grad_fn, pred.requires_grad)
 
 
 def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float = 0.25) -> Tensor:
     """Sigmoid focal loss with gamma fixed at 2, summed over entries and
-    normalized by the positive count (at least 1).
+    normalized by the positive count n (at least 1).
 
-    log-probabilities come from the stable log-sigmoid identity rather
-    than log(p), so confident mistakes keep a useful gradient instead of
-    hitting a clamped epsilon.
+    log-probabilities come from the stable identity
+    log sigmoid(z) = -relu(-z) - log(1 + exp(-|z|)) rather than log(p),
+    so confident mistakes keep a useful gradient instead of hitting a
+    clamped epsilon.
+
+    One graph node.  With p = sigmoid(z), q = sigmoid(-z), p_t the
+    probability of the target class and c = 1 - p_t = q y + p (1 - y):
+    dL/dz = alpha_t [2 c p q (1 - 2y) (-log p_t) - c^2 (y q - (1 - y) p)] / n,
+    where y q - (1 - y) p is y - p written so that neither side cancels.
     """
+    z = logits.data
     y = target_onehot.astype(float)
-    p = ad.sigmoid(logits)
-    q = ad.sigmoid(-logits)
-    pt_complement = ad.mul(q, Tensor(y)) + ad.mul(p, Tensor(1.0 - y))
-    log_pt = (
-        ad.mul(_log_sigmoid(logits), Tensor(y))
-        + ad.mul(_log_sigmoid(-logits), Tensor(1.0 - y))
-    )
-    alpha_t = Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
-    focus = ad.mul(pt_complement, pt_complement)
-    total = ad.tsum(ad.mul(alpha_t, ad.mul(focus, -log_pt)))
-    return total / max(1.0, float(y.sum()))
+    p = ad.stable_sigmoid(z)
+    q = ad.stable_sigmoid(z * -1.0)
+    pt_complement = q * y + p * (1.0 - y)
+    pos, neg = np.maximum(z, 0.0), np.maximum(z * -1.0, 0.0)
+    tail = np.log(np.exp((pos + neg) * -1.0) + 1.0)
+    log_pt = ((neg + tail) * -1.0) * y + ((pos + tail) * -1.0) * (1.0 - y)
+    nll = log_pt * -1.0
+    alpha_t = alpha * y + (1.0 - alpha) * (1.0 - y)
+    scale = 1.0 / max(1.0, float(y.sum()))
+    total = (alpha_t * ((pt_complement * pt_complement) * nll)).sum()
+
+    def grad_fn(g):
+        dlog_pt = y * q - (1.0 - y) * p
+        dz = 2.0 * pt_complement * p * q * (1.0 - 2.0 * y) * nll
+        dz -= pt_complement * pt_complement * dlog_pt
+        logits._accum(dz * (alpha_t * (g * scale)), owned=True)
+
+    return ad.make_node(total * scale, (logits,), grad_fn, logits.requires_grad)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy; logits (..., K), integer targets (...)."""
+    """Mean softmax cross-entropy; logits (..., K), integer targets (...).
+
+    One graph node: over N targets, dL/dlogits = (softmax - onehot) / N.
+    """
     k = logits.shape[-1]
-    flat = ad.reshape(logits, (-1, k))
+    flat = logits.data.reshape(-1, k)
     ids = target_ids.reshape(-1)
     onehot = np.zeros((ids.size, k))
     onehot[np.arange(ids.size), ids] = 1.0
-    picked = ad.tsum(ad.mul(ad.log_softmax(flat, axis=-1), Tensor(onehot)))
-    return picked * (-1.0 / ids.size)
+    shifted = flat - flat.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    scale = -1.0 / ids.size
+
+    def grad_fn(g):
+        dflat = (onehot - np.exp(log_probs)) * (g * scale)
+        logits._accum(dflat.reshape(logits.shape), owned=True)
+
+    return ad.make_node((log_probs * onehot).sum() * scale, (logits,), grad_fn,
+                        logits.requires_grad)
 
 
 def downsample_mask(mask: np.ndarray, factor: int = STRIDE) -> np.ndarray:

@@ -10,6 +10,12 @@ packed layout, so a fit feeds straight into `corr_profile`;
 `conv2d_grads` differentiates `corrseg.autodiff.conv2d` one output pixel
 and one kernel tap at a time, with no im2col and no padded copy.
 
+`dice_loss`, `focal_loss` and `cross_entropy` are the loss terms of
+`corrseg.losses` composed op by op from autodiff primitives, so their
+gradients come from the chain rule through each op rather than from the
+package's closed forms.  Their forwards run the same numpy operations in
+the same order, so the two values agree bit for bit.
+
 `check_gradients` compares reverse-mode gradients against central
 finite differences.
 
@@ -21,7 +27,8 @@ import math
 
 import numpy as np
 
-from corrseg.autodiff import no_grad
+from corrseg import autodiff as ad
+from corrseg.autodiff import Tensor, no_grad
 from corrseg.errors import AutodiffError, NumericsError, ShapeError
 from corrseg.metrics import PqAccumulator
 
@@ -99,6 +106,44 @@ def conv2d_grads(x, kernel, g, stride=1):
                         dx[row, col] += kernel[ty, tx] @ g[i, j]
                         dk[ty, tx] += np.outer(x[row, col], g[i, j])
     return dx, dk
+
+
+def dice_loss(pred, target, eps=1.0):
+    t = target.astype(float)
+    inter = ad.tsum(ad.mul(pred, Tensor(t)), axis=(-2, -1))
+    denom = ad.tsum(ad.mul(pred, pred), axis=(-2, -1)) + Tensor((t * t).sum(axis=(-2, -1)))
+    return 1.0 - (inter * 2.0 + eps) / (denom + eps)
+
+
+def _log_sigmoid(z):
+    # log sigmoid(z) = -relu(-z) - log(1 + exp(-|z|)), exact for any z
+    mag = ad.relu(z) + ad.relu(-z)
+    return -(ad.relu(-z) + ad.log(ad.exp(-mag) + 1.0))
+
+
+def focal_loss(logits, target_onehot, alpha=0.25):
+    y = target_onehot.astype(float)
+    p = ad.sigmoid(logits)
+    q = ad.sigmoid(-logits)
+    pt_complement = ad.mul(q, Tensor(y)) + ad.mul(p, Tensor(1.0 - y))
+    log_pt = (
+        ad.mul(_log_sigmoid(logits), Tensor(y))
+        + ad.mul(_log_sigmoid(-logits), Tensor(1.0 - y))
+    )
+    alpha_t = Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
+    focus = ad.mul(pt_complement, pt_complement)
+    total = ad.tsum(ad.mul(alpha_t, ad.mul(focus, -log_pt)))
+    return total / max(1.0, float(y.sum()))
+
+
+def cross_entropy(logits, target_ids):
+    k = logits.shape[-1]
+    flat = ad.reshape(logits, (-1, k))
+    ids = target_ids.reshape(-1)
+    onehot = np.zeros((ids.size, k))
+    onehot[np.arange(ids.size), ids] = 1.0
+    picked = ad.tsum(ad.mul(ad.log_softmax(flat, axis=-1), Tensor(onehot)))
+    return picked * (-1.0 / ids.size)
 
 
 def compute_pq(pred, gt):

@@ -18,6 +18,7 @@ from corrseg.ablation import (
 )
 from corrseg.autodiff import Tensor
 from corrseg.errors import ConfigError
+from corrseg.losses import total_loss
 from corrseg.model import ModelConfig
 from corrseg.rng import SplitMix64
 from corrseg.synth import SceneConfig
@@ -50,6 +51,17 @@ class TestVariantModels:
         base = ModelConfig(**SMALL)
         make_variant_model("scm_icm", base, 1)
         assert not base.use_scm and not base.use_icm
+
+    def test_baseline_step_graph_stays_small(self):
+        # One default-config training step on an `ablate`-sized scene.
+        # Each loss term is one node, so the step builds 53 op nodes
+        # where the op-by-op losses built 106; per-node overhead, not
+        # arithmetic, sets the step time at this size.
+        scene = make_twin_dataset(1, 1000)[0]
+        model = make_variant_model("baseline", ModelConfig(), 0)
+        loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
+        ops = [node for node in loss._topo_order() if node._grad_fn is not None]
+        assert len(ops) <= 53
 
 
 class TestCoordsEncoder:

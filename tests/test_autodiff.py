@@ -427,6 +427,32 @@ class TestConv2d:
         k = rand((ksize, ksize, 3, 4), seed=39)
         self.assert_grads_match_oracle(x, k, stride)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("view", ["transpose", "concat"])
+    def test_noncontiguous_input_matches_contiguous_copy(self, view, ksize, stride):
+        # Output, dx and dK bit for bit.  The output goes through a
+        # transpose node, so the gradient conv2d's backward reads is a
+        # transposed view as well.
+        if view == "transpose":
+            x = rand((7, 5, 3), seed=45).transpose(1, 0, 2)
+        else:  # three channels of a wider channel concat
+            x = np.concatenate([rand((5, 7, 2), seed=45), rand((5, 7, 2), seed=46)],
+                               axis=2)[:, :, 1:]
+        assert not x.flags.c_contiguous
+        k = rand((ksize, ksize, 3, 4), seed=47)
+        ho, wo = (x.shape[0] - 1) // stride + 1, (x.shape[1] - 1) // stride + 1
+        weights = rand((wo, ho, 4), seed=48)
+        results = []
+        for data in (x, np.ascontiguousarray(x)):
+            xt = ad.Tensor(data, requires_grad=True)
+            kt = ad.Tensor(k, requires_grad=True)
+            out = ad.conv2d(xt, kt, stride=stride)
+            (ad.transpose(out, (1, 0, 2)) * weights).sum().backward()
+            results.append((out.data, xt.grad, kt.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
     def test_stem2_shape_grads_match_scatter_add_oracle(self):
         x = rand((32, 32, 16), seed=41)
         k = rand((3, 3, 16, 16), seed=42)

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -126,11 +127,16 @@ def non_utf8_name(path):
     path.write_bytes(bytes(data))
 
 
+def with_crc(body):
+    """`body` followed by its crc32 trailer, as save_checkpoint ends a file."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def one_entry(extents, payload=b""):
     """Checkpoint bytes with one entry, named "w", of the given extents."""
-    return (MAGIC + struct.pack("<III", VERSION, 1, 1) + b"w"
-            + struct.pack(f"<I{len(extents)}Q", len(extents), *extents)
-            + payload)
+    return with_crc(MAGIC + struct.pack("<III", VERSION, 1, 1) + b"w"
+                    + struct.pack(f"<I{len(extents)}Q", len(extents), *extents)
+                    + payload)
 
 
 def wrapping_extents(path):
@@ -152,17 +158,90 @@ def repeated_last_entry(path):
     state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
     last = max(state)
     save_checkpoint(path, state)
-    data = path.read_bytes()
+    data = path.read_bytes()[:-4]
     save_checkpoint(path, {last: np.zeros_like(state[last])})
-    copy = path.read_bytes()[12:]
-    path.write_bytes(data[:8] + struct.pack("<I", len(state) + 1) + data[12:] + copy)
+    copy = path.read_bytes()[12:-4]
+    path.write_bytes(with_crc(data[:8] + struct.pack("<I", len(state) + 1)
+                              + data[12:] + copy))
+
+
+def flipped_weight_byte(path):
+    """A default model's checkpoint with the low mantissa byte of one
+    stem1 weight flipped: the entries parse and every weight is finite."""
+    state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
+    save_checkpoint(path, state)
+    data = bytearray(path.read_bytes())
+    data[data.index(state["stem1"].tobytes()) + 8 * 5] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def as_version_1(path):
+    """Rewrite the checkpoint at `path` in the version 1 layout."""
+    data = path.read_bytes()[:-4]
+    path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
 
 
 CRAFTED = {
     "non_utf8_name": non_utf8_name,
     "wrapping_extents": wrapping_extents,
     "repeated_last_entry": repeated_last_entry,
+    "flipped_weight_byte": flipped_weight_byte,
 }
+
+
+class TestCrcTrailer:
+    def test_version_2_ends_with_crc_of_preceding_bytes(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        data = path.read_bytes()
+        assert VERSION == 2
+        assert struct.unpack("<I", data[4:8]) == (2,)
+        assert struct.unpack("<I", data[-4:]) == (zlib.crc32(data[:-4]),)
+
+    def test_flipped_weight_byte_rejected_naming_both_values(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        flipped_weight_byte(path)
+        data = path.read_bytes()
+        stored = struct.unpack("<I", data[-4:])[0]
+        computed = zlib.crc32(data[:-4])
+        with pytest.raises(DataFormatError, match=f"stored crc32 {stored:#010x} does not "
+                                                  f"match the computed {computed:#010x}"):
+            load_checkpoint(path)
+
+    def test_flipped_crc_byte_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="crc32"):
+            load_checkpoint(path)
+
+    def test_version_1_still_loads(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.asarray(-1.5)}
+        save_checkpoint(path, arrays)
+        as_version_1(path)
+        loaded = load_checkpoint(path)
+        assert sorted(loaded) == sorted(arrays)
+        for name, value in arrays.items():
+            assert np.array_equal(loaded[name], value)
+
+    def test_version_1_with_a_trailer_is_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(DataFormatError, match="4 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("length", [8, 11, 12, 15])
+    def test_version_2_too_short_for_a_trailer_reads_as_truncated(self, tmp_path, length):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {})
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path)
 
 
 class TestFailsClosed:

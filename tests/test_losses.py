@@ -9,6 +9,7 @@ from corrseg.autodiff import Tensor
 from corrseg.model import ModelConfig, ModelOutputs, PanopticModel
 from corrseg.rng import SplitMix64
 from corrseg.synth import SceneConfig, generate_scene
+import oracles
 from oracles import check_gradients
 
 GRAD_TOL = 1e-4
@@ -108,6 +109,74 @@ class TestCrossEntropy:
         logits = np.full((2, 3), -30.0)
         logits[np.arange(2), ids] = 30.0
         assert losses.cross_entropy(Tensor(logits), ids).item() < 1e-12
+
+
+def value_and_grad(loss_fn, logits, target, through_sigmoid=False):
+    """Loss value and d(sum of the loss)/d(logits)."""
+    x = Tensor(logits, requires_grad=True)
+    out = loss_fn(ad.sigmoid(x) if through_sigmoid else x, target)
+    ad.tsum(out).backward()
+    return out.data, x.grad
+
+
+def assert_matches_composed(name, logits, target, through_sigmoid=False):
+    """Fused node against its composed-graph oracle: the value bit for
+    bit, the gradient within 1e-12 of the oracle gradient's largest
+    entry (at saturated logits the oracle's p(1 - p) rounds to 0 where
+    the closed form keeps p q, so entrywise ratios mean nothing)."""
+    got_value, got_grad = value_and_grad(getattr(losses, name), logits, target,
+                                         through_sigmoid)
+    want_value, want_grad = value_and_grad(getattr(oracles, name), logits, target,
+                                           through_sigmoid)
+    assert np.array_equal(got_value, want_value)
+    assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def random_logits(shape, seed, extreme=False):
+    rng = SplitMix64(seed)
+    if extreme:
+        return np.where(rng.uniform_array(shape) < 0.5, -40.0, 40.0)
+    return rng.uniform_array(shape) * 8 - 4
+
+
+class TestFusedLossesMatchComposedOracles:
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_dice(self, extreme):
+        target = SplitMix64(61).uniform_array((6, 5)) > 0.5
+        assert_matches_composed("dice_loss", random_logits((6, 5), 62, extreme), target,
+                                through_sigmoid=True)
+
+    def test_dice_on_raw_prediction(self):
+        pred = SplitMix64(63).uniform_array((4, 7))
+        target = SplitMix64(64).uniform_array((4, 7)) > 0.3
+        assert_matches_composed("dice_loss", pred, target)
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_dice_stack(self, extreme):
+        target = SplitMix64(65).uniform_array((3, 4, 5)) > 0.5
+        assert_matches_composed("dice_loss", random_logits((3, 4, 5), 66, extreme),
+                                target, through_sigmoid=True)
+
+    def test_dice_all_empty_targets(self):
+        target = np.zeros((3, 4, 4), dtype=bool)
+        assert_matches_composed("dice_loss", random_logits((3, 4, 4), 67), target,
+                                through_sigmoid=True)
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_focal(self, extreme):
+        target = np.zeros((16, 3))
+        target[[1, 4, 9, 15], [0, 2, 1, 2]] = 1.0
+        assert_matches_composed("focal_loss", random_logits((16, 3), 68, extreme), target)
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_focal_no_positives(self, extreme):
+        assert_matches_composed("focal_loss", random_logits((16, 3), 69, extreme),
+                                np.zeros((16, 3)))
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_cross_entropy(self, extreme):
+        ids = (SplitMix64(70).uniform_array((4, 5)) * 3).astype(int)
+        assert_matches_composed("cross_entropy", random_logits((4, 5, 3), 71, extreme), ids)
 
 
 class TestTargets:
