@@ -63,8 +63,8 @@ class CoordsEncoder:
         coords = Tensor(np.stack([xs, ys], axis=-1))
         return ad.conv2d(ad.concat([features, coords], axis=-1), self.proj)
 
-    def parameters(self, prefix: str = "coords") -> Dict[str, Tensor]:
-        return {f"{prefix}_proj": self.proj}
+    def parameters(self) -> Dict[str, Tensor]:
+        return {"coords_proj": self.proj}
 
 
 class SinusoidEncoder:
@@ -97,7 +97,7 @@ class SinusoidEncoder:
             emb[..., 4 * k + 3] = np.cos(fy * ys)
         return features + Tensor(emb)
 
-    def parameters(self, prefix: str = "sinusoid") -> Dict[str, Tensor]:
+    def parameters(self) -> Dict[str, Tensor]:
         return {}
 
 

@@ -8,6 +8,10 @@ with ``requires_grad`` set.
 
 Every tensor holds float64; all documented tolerances assume it.
 
+`exp`, `log` and `div` have no caller in the package: they are the
+chain-rule primitives of the composed-graph references in ``tests/``,
+which check the fused loss and softmax nodes against op-by-op graphs.
+
 A graph is confined to one logical thread between construction and
 backward; tensors without gradient tracking are immutable by convention
 and safe to share across threads.
@@ -163,39 +167,12 @@ class Tensor:
     # -- operator sugar ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, other)
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -other)
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(scale(self, -1.0), other)
-        return sub(other, self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, other)
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -243,19 +220,6 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     return make_node(a.data + b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
 
 
-def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape), owned=True)
-
-    return make_node(a.data - b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
-
-
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
@@ -291,15 +255,6 @@ def scale(a: TensorLike, c: float) -> Tensor:
         a._accum(g * c, owned=True)
 
     return make_node(a.data * c, (a,), grad_fn, a.requires_grad)
-
-
-def add_scalar(a: TensorLike, c: float) -> Tensor:
-    a = as_tensor(a)
-
-    def grad_fn(g):
-        a._accum(g)
-
-    return make_node(a.data + float(c), (a,), grad_fn, a.requires_grad)
 
 
 # -- elementwise unary ops ---------------------------------------------------
@@ -371,7 +326,7 @@ def sigmoid(a: TensorLike) -> Tensor:
     return make_node(out_data, (a,), grad_fn, a.requires_grad)
 
 
-# -- reductions and log-softmax -----------------------------------------------
+# -- reductions ----------------------------------------------------------------
 
 
 def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
@@ -382,17 +337,6 @@ def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.shape))
-
-    return make_node(out_data, (a,), grad_fn, a.requires_grad)
-
-
-def log_softmax(a: TensorLike, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def grad_fn(g):
-        a._accum(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), owned=True)
 
     return make_node(out_data, (a,), grad_fn, a.requires_grad)
 

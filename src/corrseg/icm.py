@@ -77,11 +77,11 @@ class IcmWeights:
             corr_proj=ad.init_parameter((1, 1, s * s, channels), s * s, rng),
         )
 
-    def parameters(self, prefix: str = "icm") -> dict:
+    def parameters(self) -> dict:
         return {
-            **self.head.parameters(prefix),
-            f"{prefix}.feat_proj": self.feat_proj,
-            f"{prefix}.corr_proj": self.corr_proj,
+            **self.head.parameters("icm"),
+            "icm.feat_proj": self.feat_proj,
+            "icm.corr_proj": self.corr_proj,
         }
 
     def encode(self, features: Tensor) -> Tensor:

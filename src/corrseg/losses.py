@@ -20,19 +20,23 @@ from .autodiff import Tensor
 from .model import STRIDE, ModelConfig, ModelOutputs
 from .synth import SyntheticScene
 
+DICE_EPS = 1.0  # smoothing of the dice ratio's numerator and denominator
+FOCAL_ALPHA = 0.25  # focal loss weight of the positive entries
 
-def dice_loss(pred: Tensor, target: np.ndarray, eps: float = 1.0) -> Tensor:
+
+def dice_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """1 - soft dice overlap over the last two axes; 0 when prediction
     equals a binary target.  A stack of (..., H, W) masks gives one term
     per mask.
 
     One graph node.  With I the intersection and D the denominator of a
-    mask, dL/dpred = [2 pred (2I + eps) - 2t (D + eps)] / (D + eps)^2.
+    mask, dL/dpred = [2 pred (2I + eps) - 2t (D + eps)] / (D + eps)^2 with
+    eps = DICE_EPS.
     """
     t = target.astype(float)
     inter = (pred.data * t).sum(axis=(-2, -1))
     denom = (pred.data * pred.data).sum(axis=(-2, -1)) + (t * t).sum(axis=(-2, -1))
-    num, den = inter * 2.0 + eps, denom + eps
+    num, den = inter * 2.0 + DICE_EPS, denom + DICE_EPS
     out = (num / den) * -1.0 + 1.0
 
     def grad_fn(g):
@@ -43,7 +47,7 @@ def dice_loss(pred: Tensor, target: np.ndarray, eps: float = 1.0) -> Tensor:
     return ad.make_node(out, (pred,), grad_fn, pred.requires_grad)
 
 
-def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float = 0.25) -> Tensor:
+def focal_loss(logits: Tensor, target_onehot: np.ndarray) -> Tensor:
     """Sigmoid focal loss with gamma fixed at 2, summed over entries and
     normalized by the positive count n (at least 1).
 
@@ -66,7 +70,7 @@ def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float = 0.25) -
     tail = np.log(np.exp((pos + neg) * -1.0) + 1.0)
     log_pt = ((neg + tail) * -1.0) * y + ((pos + tail) * -1.0) * (1.0 - y)
     nll = log_pt * -1.0
-    alpha_t = alpha * y + (1.0 - alpha) * (1.0 - y)
+    alpha_t = FOCAL_ALPHA * y + (1.0 - FOCAL_ALPHA) * (1.0 - y)
     scale = 1.0 / max(1.0, float(y.sum()))
     total = (alpha_t * ((pt_complement * pt_complement) * nll)).sum()
 
@@ -101,15 +105,15 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray) -> Tensor:
                         logits.requires_grad)
 
 
-def downsample_mask(mask: np.ndarray, factor: int = STRIDE) -> np.ndarray:
+def downsample_mask(mask: np.ndarray) -> np.ndarray:
     h, w = mask.shape
-    blocks = mask.astype(float).reshape(h // factor, factor, w // factor, factor)
+    blocks = mask.astype(float).reshape(h // STRIDE, STRIDE, w // STRIDE, STRIDE)
     return blocks.mean(axis=(1, 3)) > 0.5
 
 
-def downsample_semantic(semantic: np.ndarray, factor: int = STRIDE) -> np.ndarray:
-    off = factor // 2
-    return semantic[off::factor, off::factor]
+def downsample_semantic(semantic: np.ndarray) -> np.ndarray:
+    off = STRIDE // 2
+    return semantic[off::STRIDE, off::STRIDE]
 
 
 def _instance_geometry(mask: np.ndarray):

@@ -75,7 +75,8 @@ class ModelConfig:
         if self.s_ref < 1:
             raise ConfigError(f"s_ref must be >= 1, got {self.s_ref}")
         if self.scm_mode not in scm_mod.AGGREGATORS:
-            raise ConfigError(f"scm_mode must be global or axial, got {self.scm_mode!r}")
+            raise ConfigError(f"scm_mode must be one of {', '.join(scm_mod.AGGREGATORS)}, "
+                              f"got {self.scm_mode!r}")
 
 
 def check_scene_size(cfg: ModelConfig, height: int, width: int) -> None:

@@ -143,6 +143,6 @@ def scm_forward(features: Tensor, weights: ScmWeights, mode: str = "axial") -> T
         aggregate = AGGREGATORS[mode]
     except KeyError:
         raise ValueError(
-            f"unknown aggregation mode {mode!r}; use 'global' or 'axial'"
+            f"unknown aggregation mode {mode!r}; use one of {', '.join(AGGREGATORS)}"
         ) from None
     return features + aggregate(features, predict_params(features, weights))

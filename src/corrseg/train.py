@@ -51,8 +51,8 @@ def make_optimizer(model: PanopticModel, lr: float) -> SGD:
                weight_decay=WEIGHT_DECAY)
 
 
-def clip_gradients(params, max_norm: float = MAX_GRAD_NORM) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+def clip_gradients(params) -> float:
+    """Scale all gradients so their global L2 norm is at most MAX_GRAD_NORM.
 
     Per-scene steps occasionally spike; without the cap a single bad step
     can saturate the heads and stall the rest of the run.
@@ -62,8 +62,8 @@ def clip_gradients(params, max_norm: float = MAX_GRAD_NORM) -> float:
     for g in grads:
         total += float((g * g).sum())
     norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > MAX_GRAD_NORM:
+        scale = MAX_GRAD_NORM / norm
         for g in grads:
             g *= scale
     return norm

@@ -30,6 +30,7 @@ import numpy as np
 from corrseg import autodiff as ad
 from corrseg.autodiff import Tensor, no_grad
 from corrseg.errors import AutodiffError, NumericsError, ShapeError
+from corrseg.losses import DICE_EPS, FOCAL_ALPHA
 from corrseg.metrics import PqAccumulator
 
 
@@ -108,32 +109,33 @@ def conv2d_grads(x, kernel, g, stride=1):
     return dx, dk
 
 
-def dice_loss(pred, target, eps=1.0):
+def dice_loss(pred, target):
     t = target.astype(float)
     inter = ad.tsum(ad.mul(pred, Tensor(t)), axis=(-2, -1))
     denom = ad.tsum(ad.mul(pred, pred), axis=(-2, -1)) + Tensor((t * t).sum(axis=(-2, -1)))
-    return 1.0 - (inter * 2.0 + eps) / (denom + eps)
+    return ad.div(inter * 2.0 + DICE_EPS, denom + DICE_EPS) * -1.0 + 1.0
 
 
 def _log_sigmoid(z):
     # log sigmoid(z) = -relu(-z) - log(1 + exp(-|z|)), exact for any z
-    mag = ad.relu(z) + ad.relu(-z)
-    return -(ad.relu(-z) + ad.log(ad.exp(-mag) + 1.0))
+    neg = ad.relu(z * -1.0)
+    mag = ad.relu(z) + neg
+    return (neg + ad.log(ad.exp(mag * -1.0) + 1.0)) * -1.0
 
 
-def focal_loss(logits, target_onehot, alpha=0.25):
+def focal_loss(logits, target_onehot):
     y = target_onehot.astype(float)
     p = ad.sigmoid(logits)
-    q = ad.sigmoid(-logits)
+    q = ad.sigmoid(logits * -1.0)
     pt_complement = ad.mul(q, Tensor(y)) + ad.mul(p, Tensor(1.0 - y))
     log_pt = (
         ad.mul(_log_sigmoid(logits), Tensor(y))
-        + ad.mul(_log_sigmoid(-logits), Tensor(1.0 - y))
+        + ad.mul(_log_sigmoid(logits * -1.0), Tensor(1.0 - y))
     )
-    alpha_t = Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
+    alpha_t = Tensor(FOCAL_ALPHA * y + (1.0 - FOCAL_ALPHA) * (1.0 - y))
     focus = ad.mul(pt_complement, pt_complement)
-    total = ad.tsum(ad.mul(alpha_t, ad.mul(focus, -log_pt)))
-    return total / max(1.0, float(y.sum()))
+    total = ad.tsum(ad.mul(alpha_t, ad.mul(focus, log_pt * -1.0)))
+    return total * (1.0 / max(1.0, float(y.sum())))
 
 
 def cross_entropy(logits, target_ids):
@@ -142,7 +144,10 @@ def cross_entropy(logits, target_ids):
     ids = target_ids.reshape(-1)
     onehot = np.zeros((ids.size, k))
     onehot[np.arange(ids.size), ids] = 1.0
-    picked = ad.tsum(ad.mul(ad.log_softmax(flat, axis=-1), Tensor(onehot)))
+    # The row max is a constant shift: log-softmax does not depend on it.
+    shifted = flat + Tensor(flat.data.max(axis=-1, keepdims=True) * -1.0)
+    log_probs = shifted + ad.log(ad.tsum(ad.exp(shifted), axis=-1, keepdims=True)) * -1.0
+    picked = ad.tsum(ad.mul(log_probs, Tensor(onehot)))
     return picked * (-1.0 / ids.size)
 
 

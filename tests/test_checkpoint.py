@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrseg import checkpoint, scm
 from corrseg.checkpoint import (
     MAGIC,
     VERSION,
@@ -369,6 +370,11 @@ class TestConfigGuard:
         assert float(entries["config.scm_mode"]) == 0.0
         entries = config_entries(ModelConfig(scm_mode="axial"))
         assert float(entries["config.scm_mode"]) == 1.0
+
+    def test_every_scm_mode_has_a_code(self):
+        # A mode missing here would fail the first checkpoint save, after
+        # an epoch of training.  The tuple's order is the stored code.
+        assert sorted(checkpoint._SCM_MODES) == sorted(scm.AGGREGATORS)
 
     def test_non_scalar_config_entry_rejected(self):
         state = model_state(small_model(seed=5))
