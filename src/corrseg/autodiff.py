@@ -6,7 +6,9 @@ them.  Calling :meth:`Tensor.backward` on a scalar walks the graph once in
 reverse topological order and populates ``grad`` on every reachable tensor
 with ``requires_grad`` set.
 
-Every tensor holds float64; all documented tolerances assume it.
+Every tensor holds float64; all documented tolerances assume it.  A
+number operand of ``+`` or ``*`` becomes a constant (0-d) Tensor, so
+``x * 2.0`` is ``mul(x, 2.0)`` and ``x + 1.0`` is ``add(x, 1.0)``.
 
 `exp`, `log` and `div` have no caller in the package: they are the
 chain-rule primitives of the composed-graph references in ``tests/``,
@@ -170,8 +172,6 @@ class Tensor:
         return add(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
         return mul(self, other)
 
     def __matmul__(self, other):
@@ -244,17 +244,6 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return make_node(a.data / b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
-
-
-def scale(a: TensorLike, c: float) -> Tensor:
-    """Multiply by a host scalar (no constant node enters the graph)."""
-    a = as_tensor(a)
-    c = float(c)
-
-    def grad_fn(g):
-        a._accum(g * c, owned=True)
-
-    return make_node(a.data * c, (a,), grad_fn, a.requires_grad)
 
 
 # -- elementwise unary ops ---------------------------------------------------

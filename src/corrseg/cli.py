@@ -37,8 +37,8 @@ from .checkpoint import (
 )
 from .corrfn import field_profiles
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
-from .metrics import PqAccumulator
-from .model import InstancePrediction, ModelConfig, PanopticModel, check_scene_size
+from .model import STRIDE, InstancePrediction, ModelConfig, PanopticModel, check_scene_size
+from .postprocess import PanopticSegmentation
 from .rng import SplitMix64
 from .synth import (
     SceneConfig,
@@ -51,15 +51,7 @@ from .synth import (
     scene_dir,
     write_keyvalue,
 )
-from .train import (
-    evaluate_scenes,
-    fit,
-    is_twin_scene,
-    scene_image,
-    scene_to_panoptic,
-    twin_rate,
-    twins_covered,
-)
+from .train import evaluate_scenes, fit, scene_image, scene_to_panoptic, score_scenes
 
 # Run settings in resolved.cfg order.  Every ModelConfig field and every
 # SceneConfig field but the per-scene seed follow them as keys of their own.
@@ -277,11 +269,10 @@ def cmd_train(merged: Dict[str, object]) -> int:
     try:
         fit(model, scenes, int(merged["epochs"]), float(merged["lr"]),
             train_seed, on_epoch=on_epoch)
-    except NumericsError:
-        # Keep the per-epoch record and the last finite-loss checkpoint.
+    finally:
+        # A non-finite loss aborts the run with NumericsError; the per-epoch
+        # record is still written, next to the last finite-loss checkpoint.
         _write_series(out / "losses.csv", "epoch", "loss", losses)
-        raise
-    _write_series(out / "losses.csv", "epoch", "loss", losses)
     print(f"saved {checkpoint_path}")
     return 0
 
@@ -296,10 +287,14 @@ def _load_model(merged: Dict[str, object], cfg: ModelConfig) -> PanopticModel:
     return model
 
 
-def _oracle_prediction(scene: SyntheticScene) -> InstancePrediction:
-    return InstancePrediction(
-        masks=np.stack([mask for mask, _ in scene.instances]),
-        categories=np.array([category for _, category in scene.instances]),
+def _oracle_inference(
+    scene: SyntheticScene,
+) -> Tuple[PanopticSegmentation, InstancePrediction]:
+    """Ground truth as the prediction: its labeling and every instance at score 1."""
+    masks = [mask for mask, _ in scene.instances]
+    return scene_to_panoptic(scene), InstancePrediction(
+        masks=np.array(masks, dtype=bool).reshape(-1, scene.height, scene.width),
+        categories=np.array([category for _, category in scene.instances], dtype=np.int64),
         scores=np.ones(len(scene.instances)),
     )
 
@@ -313,26 +308,20 @@ def cmd_eval(merged: Dict[str, object]) -> int:
     if merged["seed"] is None:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))
-    cfg = _model_config(merged)
+    model = None
     if not merged["oracle"]:
+        cfg = _model_config(merged)
         for height, width in {(scene.height, scene.width) for scene in scenes}:
             check_scene_size(cfg, height, width)
+        model = _load_model(merged, cfg)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    if merged["oracle"]:
-        acc = PqAccumulator()
-        for scene in scenes:
-            truth = scene_to_panoptic(scene)
-            acc.add(truth, truth)
-        result = acc.result()
-        rate = twin_rate([
-            twins_covered(_oracle_prediction(scene), scene)
-            for scene in scenes if is_twin_scene(scene)
-        ])
+    if model is None:
+        result, rate = score_scenes(scenes, _oracle_inference)
         variant = "oracle"
     else:
-        result, rate = evaluate_scenes(_load_model(merged, cfg), scenes)
+        result, rate = evaluate_scenes(model, scenes)
         variant = "model"
 
     write_report(out / "report.csv", [report_row(variant, result, rate, 0.0)])
@@ -368,33 +357,22 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     cfg = _model_config(merged)
     scene = load_scene(scene_path)
     check_scene_size(cfg, scene.height, scene.width)
+    if not (cfg.use_scm if branch == "scm" else cfg.use_icm):
+        raise ConfigError(f"use_{branch}=0: the model has no {branch} branch to visualize")
+    height, width = scene.height // STRIDE, scene.width // STRIDE
+    if not (0 <= x < width and 0 <= y < height):
+        raise ConfigError(f"point {x},{y} is outside the {width}x{height} feature map")
+    # The checkpoint holds exactly cfg's branches: loading checks the config.
+    model = _load_model(merged, cfg)
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    model = _load_model(merged, cfg)
     with no_grad():
         features = model.backbone(scene_image(scene))
         if branch == "scm":
-            if model.scm_weights is None:
-                raise ConfigError(
-                    "checkpoint was trained without the semantic branch "
-                    "(use_scm=0); nothing to visualize"
-                )
             field = scm_mod.predict_params(features, model.scm_weights)
         else:
-            encoder = model.instance_encoder
-            if not isinstance(encoder, icm_mod.IcmWeights):
-                raise ConfigError(
-                    "checkpoint was trained without the instance branch "
-                    "(use_icm=0); nothing to visualize"
-                )
-            field = icm_mod.predict_params(features, encoder)
-
-        height, width = features.shape[0], features.shape[1]
-        if not (0 <= x < width and 0 <= y < height):
-            raise ConfigError(
-                f"point {x},{y} is outside the {width}x{height} feature map"
-            )
+            field = icm_mod.predict_params(features, model.instance_encoder)
         hor, ver = field_profiles(field, np.arange(width), np.arange(height))
     hor, ver = hor.data[y, x], ver.data[y, x]
 

@@ -4,7 +4,8 @@ Plain SGD (momentum 0.9, weight decay 1e-4) over scenes in a fixed order,
 one scene per step; ``fit`` is the one schedule that ``corrseg train``
 and every ablation variant run.  A non-finite loss aborts with
 NumericsError so the caller keeps the last finished epoch's checkpoint.
-Evaluation runs one inference pass per scene (forward, decode, NMS, fusion) and uses it
+``score_scenes`` is the one scoring loop, for a model and for the
+ground-truth oracle alike.  It runs one inference per scene and uses it
 twice: the fused labeling feeds the PQ accumulator, and the post-NMS
 instances of each twin scene decide whether both twins were found, which
 gives the twin rate alongside PQ.
@@ -183,24 +184,34 @@ def infer_panoptic(
     return fuse_panoptic(pred, semantic, cfg), pred
 
 
-def evaluate_scenes(
-    model: PanopticModel, scenes: Iterable[SyntheticScene]
+def score_scenes(
+    scenes: Iterable[SyntheticScene],
+    infer: Callable[[SyntheticScene], Tuple[PanopticSegmentation, InstancePrediction]],
 ) -> Tuple[PQResult, float]:
-    """PQ over all scenes and the twin rate over the twin scenes.
+    """PQ over all scenes, and the twin rate: the fraction of twin scenes
+    whose twins were both found.
 
-    Each scene goes through ``infer_panoptic`` once: the fused labeling
-    feeds the PQ accumulator, the post-NMS instances ``twins_covered``.
-    Twin scenes are those ``is_twin_scene`` accepts; the twin rate is NaN
-    when there are none.
+    ``infer(scene)`` runs once per scene and returns the fused labeling,
+    which feeds the PQ accumulator, and the post-NMS instances, which
+    feed ``twins_covered``.  Twin scenes are those ``is_twin_scene``
+    accepts; the twin rate is NaN when there are none.
     """
     acc = PqAccumulator()
     covered: List[bool] = []
     for scene in scenes:
-        fused, pred = infer_panoptic(model, scene)
+        fused, pred = infer(scene)
         acc.add(fused, scene_to_panoptic(scene))
         if is_twin_scene(scene):
             covered.append(twins_covered(pred, scene))
-    return acc.result(), twin_rate(covered)
+    rate = sum(covered) / len(covered) if covered else float("nan")
+    return acc.result(), rate
+
+
+def evaluate_scenes(
+    model: PanopticModel, scenes: Iterable[SyntheticScene]
+) -> Tuple[PQResult, float]:
+    """``score_scenes`` with one ``infer_panoptic`` pass of ``model`` per scene."""
+    return score_scenes(scenes, lambda scene: infer_panoptic(model, scene))
 
 
 def _cropped(mask: np.ndarray) -> np.ndarray:
@@ -221,11 +232,6 @@ def is_twin_scene(scene: SyntheticScene) -> bool:
         return False
     (mask_a, category_a), (mask_b, category_b) = scene.instances[:2]
     return category_a == category_b and np.array_equal(_cropped(mask_a), _cropped(mask_b))
-
-
-def twin_rate(covered: Sequence[bool]) -> float:
-    """Fraction of twin scenes whose twins were both found; NaN for none."""
-    return sum(covered) / len(covered) if covered else float("nan")
 
 
 def twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:

@@ -47,13 +47,17 @@ class TestElementwise:
             ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
 
     def test_python_scalar_operands(self):
-        # A float operand of + goes through add as a constant node.
+        # A number operand of + or * goes through add or mul as a constant
+        # node; a Tensor operand of * gets its own exact gradient.
         data = np.array([1.0, 2.0, -0.3])
-        x = ad.Tensor(data, requires_grad=True)
-        y = (x * 2.0 + 1.0) * 0.25
-        assert np.array_equal(y.data, (data * 2.0 + 1.0) * 0.25)
-        y.sum().backward()
-        assert np.array_equal(x.grad, [0.5, 0.5, 0.5])
+        weights = ad.Tensor(np.array([2.0, -0.75, 3.0]), requires_grad=True)
+        for factor, value in ((2.0, 2.0), (2, 2), (weights, weights.data)):
+            x = ad.Tensor(data, requires_grad=True)
+            y = (x * factor + 1.0) * 0.25
+            assert np.array_equal(y.data, (data * value + 1.0) * 0.25)
+            y.sum().backward()
+            assert np.array_equal(x.grad, np.broadcast_to(value * 0.25, data.shape))
+        assert np.array_equal(weights.grad, data * 0.25)
 
 
 class TestStableSigmoid:

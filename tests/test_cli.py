@@ -5,6 +5,8 @@ Most tests drive cli.main() in process for speed; a couple go through
 """
 
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import corrseg
 from corrseg import icm
 from corrseg.autodiff import no_grad
 from corrseg.checkpoint import load_checkpoint, load_model_state
-from corrseg.cli import _DEFAULTS, _KEY_ORDER, main
+from corrseg.cli import _DEFAULTS, _KEY_ORDER, _merge, build_parser, main
 from corrseg.corrfn import field_profiles
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
@@ -28,6 +30,7 @@ from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir, write
 from corrseg.train import scene_image
 from oracles import per_harmonic_profile
 
+README = Path(__file__).parents[1] / "README.md"
 SMALL = "height=32\nwidth=32\nchannels=4\nn_fourier=2\ns_ref=2\ngrid_size=2\n"
 
 
@@ -408,15 +411,22 @@ class TestGlobalModeSize:
 
 class TestEval:
     def test_oracle_is_perfect(self, tmp_path, dataset):
-        out = tmp_path / "oracle"
-        assert main(["eval", "--data", str(dataset), "--oracle",
-                     "--out", str(out), "--n-fourier", "2", "--s-ref", "2"]) == 0
-        (row,) = read_report(out)
-        assert row["variant"] == "oracle"
-        assert row["pq"] == "1.0000"
-        assert row["pq_th"] == "1.0000"
-        assert row["pq_st"] == "1.0000"
-        assert row["twin_rate"] == "nan"
+        # Scenes without things score pq_th 0 and hold no prediction masks.
+        no_things = tmp_path / "no-things"
+        cfg = tmp_path / "no-things.cfg"
+        cfg.write_text(SMALL + "min_things=0\nmax_things=0\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(no_things),
+                     "--count", "2", "--seed", "5"]) == 0
+        for data, pq_th in ((dataset, "1.0000"), (no_things, "0.0000")):
+            out = tmp_path / "oracle" / data.name
+            assert main(["eval", "--data", str(data), "--oracle",
+                         "--out", str(out), "--n-fourier", "2", "--s-ref", "2"]) == 0
+            (row,) = read_report(out)
+            assert row["variant"] == "oracle"
+            assert row["pq"] == "1.0000"
+            assert row["pq_th"] == pq_th
+            assert row["pq_st"] == "1.0000"
+            assert row["twin_rate"] == "nan"
 
     def test_report_schema(self, tmp_path, dataset, trained, small_cfg):
         out = tmp_path / "ev"
@@ -606,8 +616,9 @@ class TestViz:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_point_outside_feature_map(self, icm_run, dataset, tmp_path):
-        assert self.viz(icm_run, dataset, tmp_path / "v",
-                        ["--point", "8,0"]) == 2
+        out = tmp_path / "v"
+        assert self.viz(icm_run, dataset, out, ["--point", "8,0"]) == 2
+        assert not out.exists()
 
     def test_bad_point_format(self, icm_run, dataset, tmp_path):
         assert self.viz(icm_run, dataset, tmp_path / "v",
@@ -625,11 +636,13 @@ class TestViz:
 
     def test_missing_branch_rejected(self, icm_run, dataset, tmp_path):
         cfg, run = icm_run
+        out = tmp_path / "v"
         rc = main(["viz", "--config", str(cfg), "--data", str(dataset),
                    "--checkpoint", str(run / "checkpoint.bin"),
-                   "--out", str(tmp_path / "v"), "--branch", "scm",
+                   "--out", str(out), "--branch", "scm",
                    "--point", "1,1"])
         assert rc == 2
+        assert not out.exists()
 
     def test_constant_map_renders_mid_gray(self, dataset, tmp_path):
         # With zero harmonics the correlation map is exactly constant.
@@ -650,6 +663,27 @@ class TestViz:
         assert np.all(image == 128)
         meta = parse_keyvalue((out / "corr_map.meta").read_text())
         assert meta["min"] == meta["max"]
+
+
+@pytest.mark.parametrize("command, corrupt, extra", [
+    ("eval", False, ["--n-fourier", "3"]),
+    ("eval", True, []),
+    ("viz", True, ["--branch", "icm", "--point", "1,1"]),
+], ids=["eval-config-mismatch", "eval-corrupt", "viz-corrupt"])
+def test_checkpoint_refused_before_writing(icm_run, dataset, tmp_path, capsys,
+                                           command, corrupt, extra):
+    cfg, run = icm_run
+    checkpoint = run / "checkpoint.bin"
+    if corrupt:
+        raw = bytearray(checkpoint.read_bytes())
+        raw[100] ^= 0xFF
+        checkpoint = tmp_path / "corrupt.bin"
+        checkpoint.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--data", str(dataset),
+                 "--checkpoint", str(checkpoint), "--out", str(out), *extra]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+    assert not out.exists()
 
 
 class TestAblate:
@@ -683,3 +717,19 @@ class TestUsage:
 
     def test_bad_flag_value_is_usage_error(self):
         assert run_module("gen", "--epochs", "soon").returncode == 2
+
+    def test_readme_walkthrough_commands_parse(self, tmp_path):
+        """Every command of README's CLI walkthrough parses and merges its
+        config, so a renamed or dropped flag or key fails here."""
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI walkthrough", 1)[1].split("```\n", 2)[1]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("corrseg ")]
+        assert len(commands) == 6
+        for i, command in enumerate(commands):
+            printf = re.search(r"<\(printf '([^']*)'\)", command)
+            if printf:
+                cfg = tmp_path / f"{i}.cfg"
+                cfg.write_text(printf.group(1).replace("\\n", "\n"))
+                command = command.replace(printf.group(0), str(cfg))
+            _merge(build_parser().parse_args(shlex.split(command)[1:]))
