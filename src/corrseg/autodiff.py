@@ -10,9 +10,10 @@ Every tensor holds float64; all documented tolerances assume it.  A
 number operand of ``+`` or ``*`` becomes a constant (0-d) Tensor, so
 ``x * 2.0`` is ``mul(x, 2.0)`` and ``x + 1.0`` is ``add(x, 1.0)``.
 
-`exp`, `log` and `div` have no caller in the package: they are the
-chain-rule primitives of the composed-graph references in ``tests/``,
-which check the fused loss and softmax nodes against op-by-op graphs.
+`exp`, `log`, `div` and `relu` have no caller in the package: they are
+the chain-rule primitives of the composed-graph references in
+``tests/``, which check the fused loss, softmax and conv-layer nodes
+against op-by-op graphs.
 
 A graph is confined to one logical thread between construction and
 backward; tensors without gradient tracking are immutable by convention
@@ -548,26 +549,30 @@ def _windows(buf: np.ndarray, shape, stride: int) -> np.ndarray:
     return np.ndarray(shape, buf.dtype, buf, 0, (stride * sy, stride * sx, sy, sx, sc))
 
 
-def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1):
-    """im2col rows and output of a same-padded correlation of HWC `x`.
+def _im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    """im2col rows of a same-padded k x k correlation of HWC `x`.
 
     Row r holds the k*k*C_in window of output pixel r in the kernel's
-    (dy, dx, c) order; the output is rows @ kernel, at every `stride`-th
-    row and column of the stride-1 result.
+    (dy, dx, c) order, for output pixels at every `stride`-th row and
+    column of the stride-1 result.
     """
-    k = kernel.shape[0]
     p = (k - 1) // 2
     h, w, c_in = x.shape
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    if p:
-        xp = np.zeros((h + 2 * p, w + 2 * p, c_in))
-        xp[p:p + h, p:p + w] = x
-        flat = _windows(xp, (ho, wo, k, k, c_in), stride).reshape(ho * wo, k * k * c_in)
-    else:
+    if not p:
         # A 1x1 window is the pixel itself; `x` may be a strided view.
-        flat = x[::stride, ::stride].reshape(ho * wo, c_in)
-    out = flat @ kernel.reshape(k * k * c_in, kernel.shape[3])
-    return flat, out.reshape(ho, wo, kernel.shape[3])
+        return x[::stride, ::stride].reshape(ho * wo, c_in)
+    xp = np.zeros((h + 2 * p, w + 2 * p, c_in))
+    xp[p:p + h, p:p + w] = x
+    return _windows(xp, (ho, wo, k, k, c_in), stride).reshape(ho * wo, k * k * c_in)
+
+
+def _same_correlate(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Same-padded correlation of HWC `x`: its im2col rows @ kernel."""
+    k, _, c_in, c_out = kernel.shape
+    h, w = x.shape[:2]
+    out = _im2col(x, k, stride) @ kernel.reshape(k * k * c_in, c_out)
+    return out.reshape((h - 1) // stride + 1, (w - 1) // stride + 1, c_out)
 
 
 def _strided_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int, shape):
@@ -604,44 +609,64 @@ def _strided_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int, shape):
     return np.ascontiguousarray(dense[:shape[0], :shape[1]])
 
 
-def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
-    """Same-padded cross-correlation, sampled every `stride` pixels.
+def conv2d(x: TensorLike, kernel: TensorLike, bias: Optional[TensorLike] = None,
+           stride: int = 1, relu: bool = False) -> Tensor:
+    """One conv layer as one graph node: same-padded cross-correlation,
+    sampled every `stride` pixels, plus `bias`, then ReLU if `relu`.
 
-    x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3}; stride >= 1.
-    Output (ceil(H/stride), ceil(W/stride), C_out): the stride-1 output
-    at rows and columns 0, stride, 2*stride, ..., computed only there.
-    Differentiable w.r.t. both arguments.  At stride 1 the input
-    gradient is the transposed convolution: the output gradient
-    correlated with the kernel flipped in both spatial axes and with its
-    channel axes swapped.  At larger strides it is the polyphase form of
-    the same sum, :func:`_strided_input_grad`.
+    x: (H, W, C_in); kernel: (k, k, C_in, C_out) with k in {1, 3};
+    bias: (C_out,) or None; stride >= 1.  Output (ceil(H/stride),
+    ceil(W/stride), C_out): the stride-1 output at rows and columns 0,
+    stride, 2*stride, ..., computed only there.  Bias and ReLU run in
+    place on the GEMM output, with the ufuncs of the composed
+    ``relu(conv2d(x, kernel) + bias)``.
+
+    The node keeps only its parents and its output, no im2col: the
+    backward masks the gradient by ``out > 0`` (true exactly where the
+    pre-activation is > 0) and rebuilds the im2col from ``x.data`` for
+    the kernel gradient.  At stride 1 the input gradient is the output
+    gradient correlated with the kernel flipped in both spatial axes
+    and with its channel axes swapped; at larger strides it is the
+    polyphase form of the same sum, :func:`_strided_input_grad`.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects HWC input and kkIO kernel, got {x.shape}, {kernel.shape}")
-    k = kernel.shape[0]
+    k, _, _, c_out = kernel.shape
     if kernel.shape[1] != k or k not in (1, 3):
         raise ShapeError(f"conv2d kernel must be 1x1 or 3x3, got {kernel.shape[:2]}")
     if kernel.shape[2] != x.shape[2]:
         raise ShapeError(
             f"conv2d channel mismatch: input has {x.shape[2]}, kernel expects {kernel.shape[2]}"
         )
-    flat, out_data = _same_correlate(x.data, kernel.data, stride)
-    ho, wo, c_out = out_data.shape
+    parents = (x, kernel)
+    out_data = _same_correlate(x.data, kernel.data, stride)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
+        parents += (bias,)
+        out_data += bias.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def grad_fn(g):
+        if relu:
+            g = g * (out_data > 0)
+        if bias is not None and bias.requires_grad:
+            bias._accum(g.sum(axis=(0, 1)), owned=True)
         if kernel.requires_grad:
-            gflat = g.reshape(ho * wo, c_out)
-            kernel._accum((flat.T @ gflat).reshape(kernel.shape), owned=True)
+            flat = _im2col(x.data, k, stride)
+            kernel._accum((flat.T @ g.reshape(-1, c_out)).reshape(kernel.shape), owned=True)
         if x.requires_grad:
             if stride > 1:
                 dx = _strided_input_grad(g, kernel.data, stride, x.shape)
             else:
                 flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
-                dx = _same_correlate(g, flipped)[1]
+                dx = _same_correlate(g, flipped)
             x._accum(dx, owned=True)
 
-    return make_node(out_data, (x, kernel), grad_fn, x.requires_grad or kernel.requires_grad)
+    return make_node(out_data, parents, grad_fn, any(t.requires_grad for t in parents))
 
 
 # -- parameters and optimization ---------------------------------------------------

@@ -11,9 +11,10 @@ Layout, all little-endian:
         data float64 C-order
     crc     u32      zlib.crc32 of every byte before it (version 2 only)
 
-A version 2 file whose crc does not match its bytes is rejected, so a
-corrupted weight never loads silently.  Version 1 files, written before
-the trailer existed, carry no crc and load as before.
+A version 2 file whose crc does not match its bytes is rejected before
+any entry is parsed, so a corrupted weight never loads silently and a
+corrupted entry header is reported as a crc mismatch.  Version 1 files,
+written before the trailer existed, carry no crc and load as before.
 
 Model configuration rides along as scalar entries named ``config.<key>``
 so evaluation can reject a checkpoint whose architecture does not match
@@ -104,9 +105,18 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             f"{reader.path}: unsupported version {version} at byte 4"
         )
     if version == VERSION:
-        # The entries end where the crc trailer starts; a file too short
-        # to hold one reads as truncated below.
+        # The entries end where the crc trailer starts.  A file too short
+        # to hold a count and a trailer reads as truncated below; a longer
+        # one must match its crc before any entry header is trusted.
         reader.end = max(reader.pos, reader.end - 4)
+        if reader.end - reader.pos >= 4:
+            stored = struct.unpack("<I", reader.data[reader.end:])[0]
+            computed = zlib.crc32(reader.data[:reader.end])
+            if stored != computed:
+                raise DataFormatError(
+                    f"{reader.path}: stored crc32 {stored:#010x} does not match "
+                    f"the computed {computed:#010x} of bytes 0-{reader.end - 1}"
+                )
     count = reader.u32("entry count")
     arrays: Dict[str, np.ndarray] = {}
     previous = None
@@ -146,14 +156,6 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             f"{reader.path}: {reader.end - reader.pos} trailing bytes "
             f"at byte {reader.pos}"
         )
-    if version == VERSION:
-        stored = struct.unpack("<I", reader.data[reader.end:])[0]
-        computed = zlib.crc32(reader.data[:reader.end])
-        if stored != computed:
-            raise DataFormatError(
-                f"{reader.path}: stored crc32 {stored:#010x} does not match "
-                f"the computed {computed:#010x} of bytes 0-{reader.end - 1}"
-            )
     return arrays
 
 

@@ -185,16 +185,16 @@ class PanopticModel:
         h, w = image.shape[0], image.shape[1]
         if h % STRIDE or w % STRIDE:
             raise ShapeError(f"image dims must be divisible by {STRIDE}, got {h}x{w}")
-        x = ad.relu(ad.conv2d(image, self.stem1, stride=2) + self.stem1_bias)
-        return ad.relu(ad.conv2d(x, self.stem2, stride=2) + self.stem2_bias)
+        x = ad.conv2d(image, self.stem1, self.stem1_bias, stride=2, relu=True)
+        return ad.conv2d(x, self.stem2, self.stem2_bias, stride=2, relu=True)
 
     def semantic_logits(self, features: Tensor) -> Tensor:
         x = features
         if self.scm_weights is not None:
             x = scm_mod.scm_forward(x, self.scm_weights, mode=self.cfg.scm_mode)
         for kernel, bias in self.sem_convs:
-            x = ad.relu(ad.conv2d(x, kernel) + bias)
-        return ad.conv2d(x, self.sem_out) + self.sem_out_bias
+            x = ad.conv2d(x, kernel, bias, relu=True)
+        return ad.conv2d(x, self.sem_out, self.sem_out_bias)
 
     def instance_maps(self, features: Tensor) -> Tuple[Tensor, Tensor]:
         """Category logits and mask logits from the dynamic-kernel grid."""
@@ -210,13 +210,13 @@ class PanopticModel:
             )
         mask_feat = x
         for kernel, bias in self.mask_convs:
-            mask_feat = ad.relu(ad.conv2d(mask_feat, kernel) + bias)
-        tower = ad.relu(ad.conv2d(x, self.tower_conv) + self.tower_bias)
+            mask_feat = ad.conv2d(mask_feat, kernel, bias, relu=True)
+        tower = ad.conv2d(x, self.tower_conv, self.tower_bias, relu=True)
         hb, wb = hf // g, wf // g
         pooled = ad.reshape(tower, (g, hb, g, wb, c))
         pooled = ad.tsum(ad.tsum(pooled, axis=3), axis=1) * (1.0 / (hb * wb))
-        cate_logits = ad.conv2d(pooled, self.cate_head) + self.cate_bias
-        kernels = ad.conv2d(pooled, self.kernel_head) + self.kernel_bias
+        cate_logits = ad.conv2d(pooled, self.cate_head, self.cate_bias)
+        kernels = ad.conv2d(pooled, self.kernel_head, self.kernel_bias)
         flat_feat = ad.transpose(ad.reshape(mask_feat, (hf * wf, c)), (1, 0))
         mask_logits = ad.reshape(kernels, (g * g, c)) @ flat_feat
         return cate_logits, ad.reshape(mask_logits, (g * g, hf, wf))

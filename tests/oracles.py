@@ -9,6 +9,8 @@ packed layout, so a fit feeds straight into `corr_profile`;
 
 `conv2d_grads` differentiates `corrseg.autodiff.conv2d` one output pixel
 and one kernel tap at a time, with no im2col and no padded copy.
+`conv_bias_relu` composes a conv layer from separate conv2d, add and
+relu nodes, against which the fused layer node is checked bit for bit.
 
 `dice_loss`, `focal_loss` and `cross_entropy` are the loss terms of
 `corrseg.losses` composed op by op from autodiff primitives, so their
@@ -107,6 +109,14 @@ def conv2d_grads(x, kernel, g, stride=1):
                         dx[row, col] += kernel[ty, tx] @ g[i, j]
                         dk[ty, tx] += np.outer(x[row, col], g[i, j])
     return dx, dk
+
+
+def conv_bias_relu(x, kernel, bias=None, stride=1, relu=False):
+    """``relu(conv2d(x, kernel) + bias)`` as up to three graph nodes."""
+    out = ad.conv2d(x, kernel, stride=stride)
+    if bias is not None:
+        out = out + bias
+    return ad.relu(out) if relu else out
 
 
 def dice_loss(pred, target):

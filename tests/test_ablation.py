@@ -54,14 +54,14 @@ class TestVariantModels:
 
     def test_baseline_step_graph_stays_small(self):
         # One default-config training step on an `ablate`-sized scene.
-        # Each loss term is one node, so the step builds 53 op nodes
-        # where the op-by-op losses built 106; per-node overhead, not
+        # Each loss term and each conv layer (conv, bias and ReLU) is one
+        # node, so the step builds 32 op nodes; per-node overhead, not
         # arithmetic, sets the step time at this size.
         scene = make_twin_dataset(1, 1000)[0]
         model = make_variant_model("baseline", ModelConfig(), 0)
         loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
         ops = [node for node in loss._topo_order() if node._grad_fn is not None]
-        assert len(ops) <= 53
+        assert len(ops) <= 32
 
 
 class TestCoordsEncoder:

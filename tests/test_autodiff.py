@@ -371,6 +371,63 @@ class TestConv2d:
             ad.conv2d(x, ad.Tensor(np.zeros((5, 5, 3, 2))))
         with pytest.raises(ShapeError, match="channel mismatch"):
             ad.conv2d(x, ad.Tensor(np.zeros((3, 3, 7, 2))))
+        with pytest.raises(ShapeError, match=r"bias must have shape \(2,\)"):
+            ad.conv2d(x, ad.Tensor(np.zeros((3, 3, 3, 2))), ad.Tensor(np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ksize", [1, 3])
+    def test_fused_layer_matches_composed_nodes(self, ksize, stride, with_bias, relu):
+        # Output and the gradients of x, kernel and bias, bit for bit.
+        # Shifting x off centre leaves both signs of pre-activation.
+        x = rand((5, 6, 3), seed=49) + 0.3
+        k = rand((ksize, ksize, 3, 4), seed=50)
+        b = rand((4,), seed=51)
+        results = []
+        for layer in (ad.conv2d, oracles.conv_bias_relu):
+            xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(k, requires_grad=True)
+            bt = ad.Tensor(b, requires_grad=True) if with_bias else None
+            out = layer(xt, kt, bt, stride=stride, relu=relu)
+            (out * rand(out.shape, seed=52)).sum().backward()
+            results.append([out.data, xt.grad, kt.grad] + ([bt.grad] if with_bias else []))
+        if relu:
+            assert 0 < (results[0][0] == 0).sum() < results[0][0].size
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fd_bias(self, stride, relu):
+        x = ad.Tensor(rand((5, 4, 2), seed=53))
+        k = ad.Tensor(rand((3, 3, 2, 3), seed=54))
+        b = ad.Tensor(rand((3,), seed=55))
+
+        def prog(t):
+            out = ad.conv2d(x, k, t, stride=stride, relu=relu)
+            return (out * rand(out.shape, seed=56)).sum()
+        assert oracles.check_gradients(prog, b) < TOL
+
+    def test_forward_graph_keeps_no_im2col(self):
+        # Four 3x3 layers at 16x16x16: the graph holds their outputs, each
+        # 1/9 of an im2col, and no im2col.
+        h, c, layers = 16, 16, 4
+        x = ad.Tensor(rand((h, h, c), seed=57), requires_grad=True)
+        params = [(ad.Tensor(rand((3, 3, c, c), seed=58 + i), requires_grad=True),
+                   ad.Tensor(rand((c,), seed=62 + i), requires_grad=True))
+                  for i in range(layers)]
+        im2col_bytes = h * h * 9 * c * 8
+        tracemalloc.start()
+        try:
+            out = x
+            for kernel, bias in params:
+                out = ad.conv2d(out, kernel, bias, relu=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < im2col_bytes
+        out.sum().backward()
+        assert all(k.grad is not None and b.grad is not None for k, b in params)
 
     @pytest.mark.parametrize("ksize", [1, 3])
     @pytest.mark.parametrize("hw", [(6, 8), (5, 7)])

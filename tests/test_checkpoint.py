@@ -85,6 +85,9 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    # `match` searches the whole message, whose path carries the test
+    # name, so each pattern is longer than a word of that name.
+
     def saved(self, tmp_path):
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, {"w": np.ones((2, 2))})
@@ -103,29 +106,42 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
-        with pytest.raises(DataFormatError, match="version"):
+        with pytest.raises(DataFormatError, match="unsupported version 99 at byte 4"):
             load_checkpoint(path)
+
+    # The crc is checked before any entry is parsed, so the two files
+    # below end with a valid trailer over their cut or extended bytes.
 
     def test_truncated_payload(self, tmp_path):
         path = self.saved(tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(DataFormatError, match="truncated"):
+        path.write_bytes(with_crc(path.read_bytes()[:-12]))
+        with pytest.raises(DataFormatError, match="truncated at byte 61"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = self.saved(tmp_path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(DataFormatError, match="trailing"):
+        path.write_bytes(with_crc(path.read_bytes()[:-4] + b"junk"))
+        with pytest.raises(DataFormatError, match="4 trailing bytes at byte 69"):
+            load_checkpoint(path)
+
+    def test_flipped_entry_header_byte_rejected_by_crc(self, tmp_path):
+        # The top byte of the name length: parsed first, it would ask
+        # for 2**31 + 1 bytes and read as truncated.
+        path = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[15] ^= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="stored crc32 .* does not match"):
             load_checkpoint(path)
 
 
 def non_utf8_name(path):
-    """A valid one-entry checkpoint whose entry name is the byte 0xff."""
+    """A one-entry checkpoint, with a valid crc, whose entry name is the
+    byte 0xff."""
     save_checkpoint(path, {"w": np.ones((2, 2))})
-    data = bytearray(path.read_bytes())
+    data = bytearray(path.read_bytes()[:-4])
     data[16] = 0xFF  # magic, version, count, name length, then the name
-    path.write_bytes(bytes(data))
+    path.write_bytes(with_crc(bytes(data)))
 
 
 def with_crc(body):
@@ -146,11 +162,12 @@ def wrapping_extents(path):
 
 
 def second_entry_named(path, name):
-    """A valid checkpoint of scalar entries "b" and "c", with "c" renamed."""
+    """A checkpoint of scalar entries "b" and "c", with "c" renamed and
+    the crc rewritten."""
     save_checkpoint(path, {"b": np.asarray(1.0), "c": np.asarray(2.0)})
-    data = bytearray(path.read_bytes())
+    data = bytearray(path.read_bytes()[:-4])
     data[33] = ord(name)  # header 12, entry "b" 17, name length 4
-    path.write_bytes(bytes(data))
+    path.write_bytes(with_crc(bytes(data)))
 
 
 def repeated_last_entry(path):
@@ -241,7 +258,7 @@ class TestCrcTrailer:
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, {})
         path.write_bytes(path.read_bytes()[:length])
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match="truncated at byte"):
             load_checkpoint(path)
 
 
@@ -255,7 +272,7 @@ class TestFailsClosed:
     def test_oversized_entry_reads_as_truncated(self, tmp_path):
         path = tmp_path / "c.ckpt"
         wrapping_extents(path)
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match="truncated at byte"):
             load_checkpoint(path)
 
     def test_empty_entry_with_unsupported_extents(self, tmp_path):

@@ -1,0 +1,39 @@
+"""The test suite's own configuration reports failures instead of crashing.
+
+``pyproject.toml`` turns Deprecation warnings into errors.  A failing
+Hypothesis test imports third-party code while it reports, and a
+deprecation warning raised there must not end the run in an
+INTERNALERROR that hides the falsifying example.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIG = Path(__file__).parents[1] / "pyproject.toml"
+
+ALWAYS_FAILS = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=5, database=None)
+@given(st.integers(0, 10))
+def test_always_fails(n):
+    assert n < 0
+'''
+
+
+def test_failing_given_test_prints_its_falsifying_example(tmp_path):
+    test_file = tmp_path / "test_always_fails.py"
+    test_file.write_text(ALWAYS_FAILS, encoding="utf-8")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(CONFIG), "--rootdir", str(tmp_path), str(test_file)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example" in output
+    assert run.returncode == 1
