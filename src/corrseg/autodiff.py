@@ -1,14 +1,16 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a numpy array and, when gradients are requested,
-records its parents plus a closure that routes the incoming gradient to
-them.  Calling :meth:`Tensor.backward` on a scalar walks the graph once in
-reverse topological order and populates ``grad`` on every reachable tensor
-with ``requires_grad`` set.
+A :class:`Tensor` wraps a numpy array.  Every op builds its output with
+:func:`make_node`, which records the parents plus a closure that routes
+the incoming gradient to them exactly when gradients are enabled and
+some parent requires grad.  Calling :meth:`Tensor.backward` on a scalar
+walks the graph once in reverse topological order and populates
+``grad`` on every reachable tensor with ``requires_grad`` set.
 
-Every tensor holds float64; all documented tolerances assume it.  A
-number operand of ``+`` or ``*`` becomes a constant (0-d) Tensor, so
-``x * 2.0`` is ``mul(x, 2.0)`` and ``x + 1.0`` is ``add(x, 1.0)``.
+Every tensor holds float64; all documented tolerances assume it.  Ops
+take Tensor operands.  Only `add` and `mul` also take a number or array,
+as a constant Tensor, so ``x * 2.0`` is ``mul(x, 2.0)`` and ``x + 1.0``
+is ``add(x, 1.0)``.
 
 `exp`, `log`, `div` and `relu` have no caller in the package: they are
 the chain-rule primitives of the composed-graph references in
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -192,16 +194,21 @@ def as_tensor(x: TensorLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def make_node(data, parents, grad_fn, requires_grad) -> Tensor:
-    """A Tensor holding `data` that, while gradients are enabled and
-    `requires_grad` is set, routes its gradient to `parents` by calling
-    ``grad_fn(g)``.  Every op, and every fused node outside this module,
-    is built through it."""
+def make_node(data, parents, grad_fn) -> Tensor:
+    """A Tensor holding `data` that routes its gradient to `parents` by
+    calling ``grad_fn(g)``.  It is tracked when gradients are enabled and
+    some parent requires grad, and is a plain constant otherwise.  Every
+    op, and every fused node outside this module, is built through it."""
     out = Tensor(data)
-    if requires_grad and _GRAD_ENABLED:
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+    if _GRAD_ENABLED:
+        # A plain loop: any() over a generator costs several times as
+        # much, on every node a step builds.
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._grad_fn = grad_fn
+                break
     return out
 
 
@@ -218,7 +225,7 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.shape))
 
-    return make_node(a.data + b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data + b.data, (a, b), grad_fn)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
@@ -231,11 +238,10 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
 
-    return make_node(a.data * b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data * b.data, (a, b), grad_fn)
 
 
-def div(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape(a.shape, b.shape)
 
     def grad_fn(g):
@@ -244,56 +250,47 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
-    return make_node(a.data / b.data, (a, b), grad_fn, a.requires_grad or b.requires_grad)
+    return make_node(a.data / b.data, (a, b), grad_fn)
 
 
 # -- elementwise unary ops ---------------------------------------------------
 
 
-def sin(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
-
+def sin(a: Tensor) -> Tensor:
     def grad_fn(g):
         a._accum(g * np.cos(a.data), owned=True)
 
-    return make_node(np.sin(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.sin(a.data), (a,), grad_fn)
 
 
-def cos(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
-
+def cos(a: Tensor) -> Tensor:
     def grad_fn(g):
         a._accum(-g * np.sin(a.data), owned=True)
 
-    return make_node(np.cos(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.cos(a.data), (a,), grad_fn)
 
 
-def exp(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
+def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def grad_fn(g):
         a._accum(g * out_data, owned=True)
 
-    return make_node(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn)
 
 
-def log(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
-
+def log(a: Tensor) -> Tensor:
     def grad_fn(g):
         a._accum(g / a.data, owned=True)
 
-    return make_node(np.log(a.data), (a,), grad_fn, a.requires_grad)
+    return make_node(np.log(a.data), (a,), grad_fn)
 
 
-def relu(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
-
+def relu(a: Tensor) -> Tensor:
     def grad_fn(g):
         a._accum(g * (a.data > 0), owned=True)
 
-    return make_node(np.maximum(a.data, 0.0), (a,), grad_fn, a.requires_grad)
+    return make_node(np.maximum(a.data, 0.0), (a,), grad_fn)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -306,21 +303,19 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     out_data = stable_sigmoid(a.data)
 
     def grad_fn(g):
         a._accum(g * out_data * (1.0 - out_data), owned=True)
 
-    return make_node(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn)
 
 
 # -- reductions ----------------------------------------------------------------
 
 
-def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
@@ -328,33 +323,31 @@ def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.shape))
 
-    return make_node(out_data, (a,), grad_fn, a.requires_grad)
+    return make_node(out_data, (a,), grad_fn)
 
 
 # -- structural ops -----------------------------------------------------------
 
 
-def reshape(a: TensorLike, shape) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, shape) -> Tensor:
     old_shape = a.shape
 
     def grad_fn(g):
         a._accum(g.reshape(old_shape))
 
-    return make_node(a.data.reshape(shape), (a,), grad_fn, a.requires_grad)
+    return make_node(a.data.reshape(shape), (a,), grad_fn)
 
 
-def transpose(a: TensorLike, axes) -> Tensor:
-    a = as_tensor(a)
+def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def grad_fn(g):
         a._accum(g.transpose(inverse))
 
-    return make_node(a.data.transpose(axes), (a,), grad_fn, a.requires_grad)
+    return make_node(a.data.transpose(axes), (a,), grad_fn)
 
 
-def take(a: TensorLike, key) -> Tensor:
+def take(a: Tensor, key) -> Tensor:
     """``a[key]`` for any numpy key: slices, integers or integer arrays.
 
     The gradient scatter-adds back, so an entry picked more than once
@@ -362,7 +355,6 @@ def take(a: TensorLike, key) -> Tensor:
     key (integers, slices, Ellipsis) picks each entry at most once, so
     its gradient is one in-place add into the view.
     """
-    a = as_tensor(a)
     parts = key if isinstance(key, tuple) else (key,)
     basic = all(k is Ellipsis or isinstance(k, slice)
                 or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
@@ -376,25 +368,19 @@ def take(a: TensorLike, key) -> Tensor:
             np.add.at(full, key, g)
         a._accum(full, owned=True)
 
-    return make_node(a.data[key], (a,), grad_fn, a.requires_grad)
+    return make_node(a.data[key], (a,), grad_fn)
 
 
-def concat(tensors: Iterable[TensorLike], axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in ts]
+def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def grad_fn(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accum(piece)
 
-    return make_node(
-        np.concatenate([t.data for t in ts], axis=axis),
-        ts,
-        grad_fn,
-        any(t.requires_grad for t in ts),
-    )
+    return make_node(np.concatenate([t.data for t in tensors], axis=axis), tensors, grad_fn)
 
 
 def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
@@ -404,9 +390,8 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op} shapes incompatible: {a.shape} @ {b.shape}")
 
 
-def matmul(a: TensorLike, b: TensorLike) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-d tensors or batched 3-d tensors."""
-    a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b, "matmul")
 
     def grad_fn(g):
@@ -415,11 +400,10 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         if b.requires_grad:
             b._accum(np.matmul(a.data.swapaxes(-1, -2), g), owned=True)
 
-    return make_node(np.matmul(a.data, b.data), (a, b), grad_fn,
-                     a.requires_grad or b.requires_grad)
+    return make_node(np.matmul(a.data, b.data), (a, b), grad_fn)
 
 
-def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
+def softmax_matmul(logits: Tensor, values: Tensor) -> Tensor:
     """``softmax(logits, axis=-1) @ values`` as one graph node.
 
     2-d or batched 3-d operands, as for :func:`matmul`.  The softmax uses
@@ -427,7 +411,6 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
     P.  With G the output gradient: dvalues = P^T G and
     dlogits = P * (G values^T - rowsum(G * out)).
     """
-    logits, values = as_tensor(logits), as_tensor(values)
     _check_matmul(logits, values, "softmax_matmul")
     p = logits.data - logits.data.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -443,8 +426,7 @@ def softmax_matmul(logits: TensorLike, values: TensorLike) -> Tensor:
             dlogits *= p
             logits._accum(dlogits, owned=True)
 
-    return make_node(out_data, (logits, values), grad_fn,
-                     logits.requires_grad or values.requires_grad)
+    return make_node(out_data, (logits, values), grad_fn)
 
 
 def _outer_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -460,8 +442,7 @@ def _outer_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
                       np.maximum(r_lo * c_hi, r_lo * c_lo))
 
 
-def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
-                         values: TensorLike) -> Tensor:
+def outer_softmax_matmul(rows: Tensor, cols: Tensor, values: Tensor) -> Tensor:
     """Softmax over rank-1 logits, times values, as one graph node.
 
     rows (B, H), cols (B, W), values (H*W, C) -> (B, C).  Row u of the
@@ -481,7 +462,6 @@ def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
     arithmetic is that of the unblocked node; only the GEMMs' summation
     order can depend on the block size.
     """
-    rows, cols, values = as_tensor(rows), as_tensor(cols), as_tensor(values)
     if rows.ndim != 2 or cols.ndim != 2 or values.ndim != 2:
         raise ShapeError(
             f"outer_softmax_matmul expects 2d operands, got "
@@ -531,8 +511,7 @@ def outer_softmax_matmul(rows: TensorLike, cols: TensorLike,
             if t.requires_grad:
                 t._accum(grad, owned=True)
 
-    return make_node(out_data, (rows, cols, values), grad_fn,
-                     rows.requires_grad or cols.requires_grad or values.requires_grad)
+    return make_node(out_data, (rows, cols, values), grad_fn)
 
 
 # -- convolution ---------------------------------------------------------------
@@ -609,7 +588,7 @@ def _strided_input_grad(g: np.ndarray, kernel: np.ndarray, stride: int, shape):
     return np.ascontiguousarray(dense[:shape[0], :shape[1]])
 
 
-def conv2d(x: TensorLike, kernel: TensorLike, bias: Optional[TensorLike] = None,
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, relu: bool = False) -> Tensor:
     """One conv layer as one graph node: same-padded cross-correlation,
     sampled every `stride` pixels, plus `bias`, then ReLU if `relu`.
@@ -629,7 +608,6 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: Optional[TensorLike] = None,
     and with its channel axes swapped; at larger strides it is the
     polyphase form of the same sum, :func:`_strided_input_grad`.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects HWC input and kkIO kernel, got {x.shape}, {kernel.shape}")
     k, _, _, c_out = kernel.shape
@@ -642,7 +620,6 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: Optional[TensorLike] = None,
     parents = (x, kernel)
     out_data = _same_correlate(x.data, kernel.data, stride)
     if bias is not None:
-        bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
         parents += (bias,)
@@ -666,7 +643,7 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: Optional[TensorLike] = None,
                 dx = _same_correlate(g, flipped)
             x._accum(dx, owned=True)
 
-    return make_node(out_data, parents, grad_fn, any(t.requires_grad for t in parents))
+    return make_node(out_data, parents, grad_fn)
 
 
 # -- parameters and optimization ---------------------------------------------------

@@ -199,20 +199,37 @@ def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
 
 
 def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
-    """(seed, directory) of every numbered scene under root, by seed."""
+    """(seed, directory) of every scene that root's dataset.meta lists, by
+    seed.  The numbered directories (names may be zero-padded) must be
+    exactly the listed seeds, each once."""
+    manifest = root / "dataset.meta"
+    try:
+        meta = parse_keyvalue(manifest.read_text(encoding="utf-8"), str(manifest))
+        first, count = int(meta["first_seed"]), int(meta["count"])
+    except (OSError, KeyError, ValueError) as exc:
+        raise DataFormatError(
+            f"{manifest}: missing or malformed dataset manifest ({exc})") from None
     scenes_root = root / "scenes"
     if not scenes_root.is_dir():
         raise DataFormatError(f"{scenes_root}: no scenes directory")
-    numbered = []
-    for child in scenes_root.iterdir():
-        if child.is_dir():
-            try:
-                numbered.append((int(child.name), child))
-            except ValueError:
-                continue
-    if not numbered:
+    listed = range(first, first + count)
+    found: Dict[int, Path] = {}
+    for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
+        try:
+            seed = int(child.name)
+        except ValueError:
+            continue
+        if seed not in listed:
+            raise DataFormatError(f"{child}: scene {seed} is not listed in {manifest}")
+        if seed in found:
+            raise DataFormatError(f"{child}: scene {seed} is also at {found[seed]}")
+        found[seed] = child
+    if len(found) < count:
+        missing = next(seed for seed in listed if seed not in found)
+        raise DataFormatError(f"{scenes_root}: scene {missing} listed in {manifest} is missing")
+    if not found:
         raise DataFormatError(f"{scenes_root}: dataset is empty")
-    return sorted(numbered)
+    return sorted(found.items())
 
 
 def _load_dataset(root: Path) -> List[SyntheticScene]:
@@ -350,10 +367,12 @@ def cmd_viz(merged: Dict[str, object]) -> int:
         raise ConfigError(f"branch must be scm or icm, got {branch!r}")
     x, y = _parse_point(str(merged["point"]))
     data = Path(merged["data"])
+    scene_paths = dict(_scene_dirs(data))
     if merged["seed"] is None:
-        merged["seed"], scene_path = _scene_dirs(data)[0]
-    else:
-        scene_path = scene_dir(data, int(merged["seed"]))
+        merged["seed"] = min(scene_paths)
+    if merged["seed"] not in scene_paths:
+        raise DataFormatError(f"{data / 'dataset.meta'}: lists no scene {merged['seed']}")
+    scene_path = scene_paths[merged["seed"]]
     cfg = _model_config(merged)
     scene = load_scene(scene_path)
     check_scene_size(cfg, scene.height, scene.width)

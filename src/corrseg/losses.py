@@ -44,7 +44,7 @@ def dice_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         pred._accum(2.0 * (pred.data * n - t * d) * (g[..., None, None] / (d * d)),
                     owned=True)
 
-    return ad.make_node(out, (pred,), grad_fn, pred.requires_grad)
+    return ad.make_node(out, (pred,), grad_fn)
 
 
 def focal_loss(logits: Tensor, target_onehot: np.ndarray) -> Tensor:
@@ -80,7 +80,7 @@ def focal_loss(logits: Tensor, target_onehot: np.ndarray) -> Tensor:
         dz -= pt_complement * pt_complement * dlog_pt
         logits._accum(dz * (alpha_t * (g * scale)), owned=True)
 
-    return ad.make_node(total * scale, (logits,), grad_fn, logits.requires_grad)
+    return ad.make_node(total * scale, (logits,), grad_fn)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray) -> Tensor:
@@ -101,8 +101,7 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray) -> Tensor:
         dflat = (onehot - np.exp(log_probs)) * (g * scale)
         logits._accum(dflat.reshape(logits.shape), owned=True)
 
-    return ad.make_node((log_probs * onehot).sum() * scale, (logits,), grad_fn,
-                        logits.requires_grad)
+    return ad.make_node((log_probs * onehot).sum() * scale, (logits,), grad_fn)
 
 
 def downsample_mask(mask: np.ndarray) -> np.ndarray:

@@ -87,12 +87,12 @@ class TestReductionsAndSoftmax:
 
     def test_softmax_rows_sum_to_one(self):
         x = ad.Tensor(rand((6, 9), seed=9, lo=-30, hi=30))
-        s = ad.softmax_matmul(x, np.eye(9))
+        s = ad.softmax_matmul(x, ad.Tensor(np.eye(9)))
         np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_stable_for_large_logits(self):
         x = ad.Tensor(np.array([[1000.0, 1000.0, -1000.0]]))
-        s = ad.softmax_matmul(x, np.eye(3)).data
+        s = ad.softmax_matmul(x, ad.Tensor(np.eye(3))).data
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s[0, :2], 0.5, atol=1e-12)
 
@@ -100,7 +100,7 @@ class TestReductionsAndSoftmax:
         x = ad.Tensor(rand((4, 5), seed=10))
         w = ad.Tensor(rand((4, 5), seed=11))
         err = oracles.check_gradients(
-            lambda t: ad.mul(ad.softmax_matmul(t, np.eye(5)), w).sum(), x
+            lambda t: ad.mul(ad.softmax_matmul(t, ad.Tensor(np.eye(5))), w).sum(), x
         )
         assert err < TOL
 
@@ -578,6 +578,55 @@ class TestBackwardSemantics:
         assert y._grad_fn is None and not y.requires_grad
 
 
+def assert_tracked(out, parents, tracked):
+    assert out.requires_grad is tracked
+    assert (out._grad_fn is not None) is tracked
+    assert out._parents == (tuple(parents) if tracked else ())
+
+
+_PARENT_FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestTrackingRule:
+    """Under grad a node is tracked exactly when some parent is; under
+    no_grad no node is."""
+
+    @pytest.mark.parametrize("flags", _PARENT_FLAGS)
+    def test_op_tracked_iff_a_parent_is(self, flags):
+        a, b = (ad.Tensor(rand((2, 2), seed=80 + i), requires_grad=f)
+                for i, f in enumerate(flags))
+        for out in (ad.add(a, b), ad.div(a, b), ad.matmul(a, b),
+                    ad.softmax_matmul(a, b), ad.concat([a, b])):
+            assert_tracked(out, (a, b), any(flags))
+        assert_tracked(ad.sigmoid(a), (a,), flags[0])
+
+    @pytest.mark.parametrize("flags", _PARENT_FLAGS)
+    def test_make_node_tracked_iff_a_parent_is(self, flags):
+        parents = [ad.Tensor(np.ones(2), requires_grad=f) for f in flags]
+        out = ad.make_node(np.zeros(2), parents, lambda g: None)
+        assert_tracked(out, parents, any(flags))
+
+    def test_conv2d_leaves_untracked_image_without_grad(self):
+        x = ad.Tensor(rand((4, 4, 2), seed=84))
+        kernel = ad.Tensor(rand((3, 3, 2, 3), seed=85), requires_grad=True)
+        out = ad.conv2d(x, kernel)
+        assert_tracked(out, (x, kernel), True)
+        out.sum().backward()
+        assert x.grad is None
+        assert kernel.grad is not None and kernel.grad.shape == kernel.shape
+
+    def test_nothing_tracked_under_no_grad(self):
+        x = ad.Tensor(rand((4, 4, 2), seed=86), requires_grad=True)
+        kernel = ad.Tensor(rand((1, 1, 2, 2), seed=87), requires_grad=True)
+        with ad.no_grad():
+            outs = [ad.make_node(x.data, (x,), lambda g: None), ad.sigmoid(x),
+                    x * 2.0, ad.conv2d(x, kernel)]
+            # The rule tests the grad mode first, so no parent is read.
+            outs.append(ad.make_node(x.data, (object(),), lambda g: None))
+        for out in outs:
+            assert_tracked(out, (), False)
+
+
 class TestCheckGradients:
     def test_reports_for_known_analytic_function(self):
         x = ad.Tensor(rand((3, 3), seed=31))
@@ -611,7 +660,7 @@ def test_composite_program_grad_property(h, w, c, seed):
     def prog(t):
         z = ad.relu(t) + ad.sin(t)
         z = ad.reshape(z, (h * w, c)) @ m
-        return ad.mul(ad.softmax_matmul(z, np.eye(c)), 0.7).sum() + ad.sigmoid(z).sum()
+        return ad.mul(ad.softmax_matmul(z, ad.Tensor(np.eye(c))), 0.7).sum() + ad.sigmoid(z).sum()
 
     assert oracles.check_gradients(prog, x) < 1e-5
 

@@ -526,6 +526,78 @@ class TestEval:
         assert row["twin_rate"] == "1.0000"
 
 
+def _duplicate_scene(data):
+    shutil.copytree(data / "scenes" / "7", data / "scenes" / "007")
+    return f"{data / 'scenes' / '7'}: scene 7 is also at {data / 'scenes' / '007'}"
+
+
+def _remove_scene(data):
+    shutil.rmtree(data / "scenes" / "8")
+    return f"{data / 'scenes'}: scene 8 listed in {data / 'dataset.meta'} is missing"
+
+
+def _remove_manifest(data):
+    (data / "dataset.meta").unlink()
+    return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ("
+
+
+def _malform_manifest(data):
+    (data / "dataset.meta").write_text("count=four\nfirst_seed=7\n")
+    return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ("
+
+
+def _drop_first_seed(data):
+    (data / "dataset.meta").write_text("count=4\n")
+    return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ('first_seed')"
+
+
+class TestDatasetManifest:
+    """A dataset holds exactly the scenes its dataset.meta lists."""
+
+    def run(self, command, data, out, small_cfg):
+        return main([*command.split(), "--config", small_cfg, "--data", str(data),
+                     "--out", str(out), "--epochs", "1"])
+
+    def test_stale_scenes_after_force_exit_3(self, tmp_path, small_cfg, capsys):
+        data = tmp_path / "data"
+        for count, seed in (("4", "0"), ("2", "100")):
+            assert main(["gen", "--config", small_cfg, "--out", str(data),
+                         "--count", count, "--seed", seed, "--force"]) == 0
+        assert parse_keyvalue((data / "dataset.meta").read_text())["count"] == "2"
+        out = tmp_path / "ev"
+        assert self.run("eval --oracle", data, out, small_cfg) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data / 'scenes' / '0'}: scene 0 is not listed in "
+            f"{data / 'dataset.meta'}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval --oracle"])
+    @pytest.mark.parametrize("edit", [_duplicate_scene, _remove_scene, _remove_manifest,
+                                      _malform_manifest, _drop_first_seed])
+    def test_scenes_differing_from_manifest_exit_3(self, tmp_path, dataset, small_cfg,
+                                                    capsys, command, edit):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        message = edit(data)
+        out = tmp_path / "run"
+        assert self.run(command, data, out, small_cfg) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make_dir, message", [(False, "no scenes directory"),
+                                                   (True, "dataset is empty")])
+    def test_empty_dataset_exits_3(self, tmp_path, small_cfg, capsys, make_dir, message):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_cfg, "--out", str(data),
+                     "--count", "0", "--seed", "7"]) == 0
+        if make_dir:
+            (data / "scenes").mkdir()
+        out = tmp_path / "run"
+        assert self.run("eval --oracle", data, out, small_cfg) == 3
+        assert capsys.readouterr().err == f"error: {data / 'scenes'}: {message}\n"
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def icm_run(tmp_path_factory, dataset):
     cfg = tmp_path_factory.mktemp("cfg") / "icm.cfg"
@@ -614,6 +686,21 @@ class TestViz:
             assert self.viz(icm_run, data, out, ["--point", "1,1"]) == 0
         for name in ("corr_map.pgm", "corr_map.meta", "profile_hor.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_seed_flag_resolves_zero_padded_scene_dir(
+            self, icm_run, dataset, padded_dataset, tmp_path):
+        outs = [tmp_path / "plain", tmp_path / "padded"]
+        for data, out in zip((dataset, padded_dataset), outs):
+            assert self.viz(icm_run, data, out, ["--point", "1,1", "--seed", "7"]) == 0
+        for name in ("corr_map.pgm", "corr_map.meta", "profile_hor.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_unlisted_seed_exits_3(self, icm_run, dataset, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert self.viz(icm_run, dataset, out, ["--point", "1,1", "--seed", "3"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {dataset / 'dataset.meta'}: lists no scene 3\n")
+        assert not out.exists()
 
     def test_point_outside_feature_map(self, icm_run, dataset, tmp_path):
         out = tmp_path / "v"

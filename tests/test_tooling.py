@@ -1,17 +1,21 @@
-"""The test suite's own configuration reports failures instead of crashing.
+"""Checks of the repository's own tooling and documents.
 
 ``pyproject.toml`` turns Deprecation warnings into errors.  A failing
 Hypothesis test imports third-party code while it reports, and a
 deprecation warning raised there must not end the run in an
 INTERNALERROR that hides the falsifying example.
+
+README's Layout block names every module of the package.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-CONFIG = Path(__file__).parents[1] / "pyproject.toml"
+ROOT = Path(__file__).parents[1]
+CONFIG = ROOT / "pyproject.toml"
 
 ALWAYS_FAILS = '''
 from hypothesis import given, settings, strategies as st
@@ -37,3 +41,13 @@ def test_failing_given_test_prints_its_falsifying_example(tmp_path):
     assert "INTERNALERROR" not in output
     assert "Falsifying example" in output
     assert run.returncode == 1
+
+
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    package_part = block.split("\ntests/", 1)[0]
+    listed = re.findall(r"^  (\w+\.py) ", package_part, flags=re.MULTILINE)
+    modules = [path.name for path in (ROOT / "src" / "corrseg").glob("*.py")
+               if not path.name.startswith("__")]
+    assert sorted(listed) == sorted(modules)
