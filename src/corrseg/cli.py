@@ -3,7 +3,8 @@
 Configuration is merged from three layers with fixed precedence: a
 command-line flag beats a config-file entry, which beats the built-in
 default.  The keys are the run settings plus every ModelConfig field and
-every SceneConfig field but its per-scene seed.  Config files use the
+every SceneConfig field but its per-scene seed, and each key has a flag,
+``--<key>`` with dashes for underscores.  Config files use the
 same ``key=value`` line format as scene manifests; unknown keys are
 rejected.  Every command writes the fully merged configuration to
 ``<out>/resolved.cfg`` in a fixed key order, so any run can be
@@ -70,6 +71,21 @@ _KEY_ORDER = tuple(_DEFAULTS)
 # seed and count are integers and the rest strings.
 _TYPES = {key: str if value is None else type(value) for key, value in _DEFAULTS.items()}
 _TYPES.update(seed=int, count=int)
+# Help lines of the flags that need more than their key's name.
+_HELP = {
+    "seed": "scene/dataset seed", "train_seed": "weight-init and augmentation seed",
+    "count": "number of scenes to generate", "scenes": "dataset size for ablate",
+    "out": "output directory", "data": "dataset directory (from gen)",
+    "checkpoint": "checkpoint file (from train)", "point": "feature-map x,y for viz",
+    "branch": "which parameter head viz should read (scm or icm)",
+    "oracle": "eval ground truth against itself",
+    "force": "allow writing into a non-empty directory",
+    "scm_mode": "SCM aggregation: " + ", ".join(scm_mod.AGGREGATORS),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -101,38 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
         "correlation-function feature enhancement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "gen": "generate a synthetic scene dataset",
-        "train": "train a model on a generated dataset",
-        "eval": "evaluate a checkpoint (or the oracle) on a dataset",
-        "viz": "dump one location's predicted correlation map",
-        "ablate": "run the six-variant comparison sweep",
-    }
-    for name, descr in commands.items():
+    for name, (_, descr, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=descr)
         cmd.add_argument("--config", help="key=value file merged below flags")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--data", help="dataset directory (from gen)")
-        cmd.add_argument("--checkpoint", help="checkpoint file (from train)")
-        cmd.add_argument("--seed", type=int, help="scene/dataset seed")
-        cmd.add_argument("--train-seed", type=int,
-                         help="weight-init and augmentation seed")
-        cmd.add_argument("--epochs", type=int)
-        cmd.add_argument("--lr", type=float)
-        cmd.add_argument("--n-fourier", type=int)
-        cmd.add_argument("--s-ref", type=int)
-        cmd.add_argument("--use-scm", action="store_const", const=True)
-        cmd.add_argument("--use-icm", action="store_const", const=True)
-        cmd.add_argument("--scm-mode", choices=tuple(scm_mod.AGGREGATORS))
-        cmd.add_argument("--force", action="store_const", const=True,
-                         help="allow writing into a non-empty directory")
-        cmd.add_argument("--count", type=int, help="number of scenes to generate")
-        cmd.add_argument("--scenes", type=int, help="dataset size for ablate")
-        cmd.add_argument("--point", help="feature-map x,y for viz")
-        cmd.add_argument("--branch", choices=("scm", "icm"),
-                         help="which parameter head viz should read")
-        cmd.add_argument("--oracle", action="store_const", const=True,
-                         help="eval ground truth against itself")
+        for key in _KEY_ORDER[1:]:
+            if _TYPES[key] is bool:
+                cmd.add_argument(_flag(key), action="store_const", const=True,
+                                 help=_HELP.get(key))
+            else:
+                cmd.add_argument(_flag(key), type=_TYPES[key], help=_HELP.get(key))
     return parser
 
 
@@ -156,7 +149,7 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
                 raise ConfigError(f"{path}: {key} needs a value")
             merged[key] = value
     for key in _KEY_ORDER[1:]:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     _check_values(merged)
@@ -174,15 +167,17 @@ def _check_values(merged: Dict[str, object]) -> None:
         raise ConfigError(f"epochs must be >= 1, got {merged['epochs']}")
     if not (math.isfinite(merged["lr"]) and merged["lr"] > 0.0):
         raise ConfigError(f"lr must be positive and finite, got {merged['lr']}")
+    if merged["branch"] not in (None, "scm", "icm"):
+        raise ConfigError(f"branch must be scm or icm, got {merged['branch']!r}")
+    if merged["point"] is not None:
+        _parse_point(merged["point"])
 
 
 def _require(merged: Dict[str, object], *keys: str) -> None:
     missing = [key for key in keys if merged[key] is None]
     if missing:
         raise ConfigError(
-            f"{merged['command']} requires " + ", ".join(f"--{k.replace('_', '-')}"
-                                                         for k in missing)
-        )
+            f"{merged['command']} requires " + ", ".join(map(_flag, missing)))
 
 
 def write_resolved(merged: Dict[str, object], out_dir: Path) -> None:
@@ -196,6 +191,18 @@ def _model_config(merged: Dict[str, object]) -> ModelConfig:
 
 def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
     return SceneConfig(**{key: merged[key] for key in _SCENE_DEFAULTS}, seed=seed)
+
+
+def _numbered_dirs(scenes_root: Path) -> List[Tuple[int, Path]]:
+    """(seed, directory) of every directory under scenes_root named by an
+    integer (names may be zero-padded), in name order."""
+    found = []
+    for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
+        try:
+            found.append((int(child.name), child))
+        except ValueError:
+            continue
+    return found
 
 
 def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
@@ -214,11 +221,7 @@ def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
         raise DataFormatError(f"{scenes_root}: no scenes directory")
     listed = range(first, first + count)
     found: Dict[int, Path] = {}
-    for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
-        try:
-            seed = int(child.name)
-        except ValueError:
-            continue
+    for seed, child in _numbered_dirs(scenes_root):
         if seed not in listed:
             raise DataFormatError(f"{child}: scene {seed} is not listed in {manifest}")
         if seed in found:
@@ -240,12 +243,15 @@ def _load_dataset(root: Path) -> List[SyntheticScene]:
 
 
 def cmd_gen(merged: Dict[str, object]) -> int:
-    _require(merged, "out", "count", "seed")
-    count = int(merged["count"])
-    seed = int(merged["seed"])
+    count, seed = merged["count"], merged["seed"]
     out = Path(merged["out"])
     if out.exists() and any(out.iterdir()) and not merged["force"]:
         raise ConfigError(f"{out} is not empty (pass --force to write anyway)")
+    if (out / "scenes").is_dir():
+        for old, path in _numbered_dirs(out / "scenes"):
+            if old not in range(seed, seed + count):
+                raise ConfigError(f"{path}: scene {old} is not among the {count} scenes "
+                                  f"from seed {seed} that gen writes; remove it first")
     write_resolved(merged, out)
     for s in range(seed, seed + count):
         scene = generate_scene(_scene_config(merged, seed=s))
@@ -263,7 +269,6 @@ def _write_series(path: Path, index: str, name: str, values: Sequence[float]) ->
 
 
 def cmd_train(merged: Dict[str, object]) -> int:
-    _require(merged, "data", "out")
     if merged["seed"] is None:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))
@@ -273,7 +278,7 @@ def cmd_train(merged: Dict[str, object]) -> int:
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    train_seed = int(merged["train_seed"])
+    train_seed = merged["train_seed"]
     model = PanopticModel(cfg, SplitMix64(train_seed))
     checkpoint_path = out / "checkpoint.bin"
     losses: List[float] = []
@@ -284,8 +289,7 @@ def cmd_train(merged: Dict[str, object]) -> int:
         print(f"epoch {epoch}: loss {mean_loss:.6f}")
 
     try:
-        fit(model, scenes, int(merged["epochs"]), float(merged["lr"]),
-            train_seed, on_epoch=on_epoch)
+        fit(model, scenes, merged["epochs"], merged["lr"], train_seed, on_epoch=on_epoch)
     finally:
         # A non-finite loss aborts the run with NumericsError; the per-epoch
         # record is still written, next to the last finite-loss checkpoint.
@@ -300,7 +304,7 @@ def _load_model(merged: Dict[str, object], cfg: ModelConfig) -> PanopticModel:
     Loading overwrites every parameter, so the init seed has no effect.
     """
     model = PanopticModel(cfg, SplitMix64(0))
-    load_model_state(model, load_checkpoint(merged["checkpoint"]), str(merged["checkpoint"]))
+    load_model_state(model, load_checkpoint(merged["checkpoint"]), merged["checkpoint"])
     return model
 
 
@@ -317,7 +321,6 @@ def _oracle_inference(
 
 
 def cmd_eval(merged: Dict[str, object]) -> int:
-    _require(merged, "data", "out")
     if merged["oracle"] and merged["checkpoint"] is not None:
         raise ConfigError("pass either --checkpoint or --oracle, not both")
     if not merged["oracle"] and merged["checkpoint"] is None:
@@ -361,11 +364,8 @@ def _parse_point(raw: str) -> tuple:
 
 
 def cmd_viz(merged: Dict[str, object]) -> int:
-    _require(merged, "checkpoint", "out", "data", "point", "branch")
-    branch = str(merged["branch"])
-    if branch not in ("scm", "icm"):
-        raise ConfigError(f"branch must be scm or icm, got {branch!r}")
-    x, y = _parse_point(str(merged["point"]))
+    branch = merged["branch"]
+    x, y = _parse_point(merged["point"])
     data = Path(merged["data"])
     scene_paths = dict(_scene_dirs(data))
     if merged["seed"] is None:
@@ -414,7 +414,6 @@ def cmd_viz(merged: Dict[str, object]) -> int:
 
 
 def cmd_ablate(merged: Dict[str, object]) -> int:
-    _require(merged, "out")
     if merged["seed"] is None:
         merged["seed"] = 1000
     # The sweep is defined over twin scenes with exactly one twin pair.
@@ -423,20 +422,19 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
     merged["max_things"] = 2
     cfg = _model_config(merged)
     check_variants_fit(cfg, [(merged["height"], merged["width"])])
-    split_scenes(range(int(merged["scenes"])))  # refuse a degenerate split now
+    split_scenes(range(merged["scenes"]))  # refuse a degenerate split now
     out = Path(merged["out"])
     write_resolved(merged, out)
 
-    dataset_seed = int(merged["seed"])
+    dataset_seed = merged["seed"]
     base_scene = _scene_config(merged, seed=dataset_seed)
-    scenes = make_twin_dataset(int(merged["scenes"]), dataset_seed,
-                               scene_cfg=base_scene)
+    scenes = make_twin_dataset(merged["scenes"], dataset_seed, scene_cfg=base_scene)
     rows = run_ablation(
         scenes,
         cfg,
-        epochs=int(merged["epochs"]),
-        lr=float(merged["lr"]),
-        seed=int(merged["train_seed"]),
+        epochs=merged["epochs"],
+        lr=merged["lr"],
+        seed=merged["train_seed"],
         out_path=out / "report.csv",
     )
     for row in rows:
@@ -448,34 +446,30 @@ def cmd_ablate(merged: Dict[str, object]) -> int:
     return 0
 
 
+# Each command's handler, help line and the keys it cannot run without.
 _COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "viz": cmd_viz,
-    "ablate": cmd_ablate,
+    "gen": (cmd_gen, "generate a synthetic scene dataset", ("out", "count", "seed")),
+    "train": (cmd_train, "train a model on a generated dataset", ("data", "out")),
+    "eval": (cmd_eval, "evaluate a checkpoint (or the oracle) on a dataset", ("data", "out")),
+    "viz": (cmd_viz, "dump one location's predicted correlation map",
+            ("checkpoint", "out", "data", "point", "branch")),
+    "ablate": (cmd_ablate, "run the six-variant comparison sweep", ("out",)),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, required = _COMMANDS[args.command]
     try:
         merged = _merge(args)
-        return _COMMANDS[args.command](merged)
+        _require(merged, *required)
+        return handler(merged)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,7 +22,7 @@ import corrseg
 from corrseg import icm
 from corrseg.autodiff import no_grad
 from corrseg.checkpoint import load_checkpoint, load_model_state
-from corrseg.cli import _DEFAULTS, _KEY_ORDER, _merge, build_parser, main
+from corrseg.cli import _DEFAULTS, _KEY_ORDER, _TYPES, _merge, build_parser, main
 from corrseg.corrfn import field_profiles
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
@@ -198,6 +198,8 @@ class TestConfigMerging:
         ("train", "grid_size=3"),
         ("ablate", "grid_size=3"),
         ("train", "k_thing=2"),
+        ("gen", "branch=bogus"),
+        ("gen", "point=abc"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, dataset, capsys, command, text):
         cfg = tmp_path / "c.cfg"
@@ -251,6 +253,27 @@ class TestConfigMerging:
             return [line for line in lines if not line.startswith(b"out=")]
 
         assert without_out(first) == without_out(second)
+
+        # Every key has a flag, and flags give the same file as config lines.
+        flags = tmp_path / "flags"
+        argv = ["gen"]
+        for key, value in dict(values, out=str(flags)).items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if _TYPES[key] is bool else [flag, value]
+        assert main(argv) == 0
+        assert without_out(flags) == without_out(first)
+
+    def test_bad_scm_mode_is_one_error_from_flag_or_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scm_mode=local\n")
+        errors = []
+        for source in (["--scm-mode", "local"], ["--config", str(cfg)]):
+            assert main(["gen", "--out", str(tmp_path / "o"), "--count", "0",
+                         "--seed", "1", *source]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: scm_mode must be one of global, axial, got 'local'\n")
+        assert not (tmp_path / "o").exists()
 
 
 _CONFIG_VALUES = st.one_of(
@@ -531,6 +554,11 @@ def _duplicate_scene(data):
     return f"{data / 'scenes' / '7'}: scene 7 is also at {data / 'scenes' / '007'}"
 
 
+def _unlisted_scene(data):
+    shutil.copytree(data / "scenes" / "7", data / "scenes" / "99")
+    return f"{data / 'scenes' / '99'}: scene 99 is not listed in {data / 'dataset.meta'}"
+
+
 def _remove_scene(data):
     shutil.rmtree(data / "scenes" / "8")
     return f"{data / 'scenes'}: scene 8 listed in {data / 'dataset.meta'} is missing"
@@ -558,22 +586,27 @@ class TestDatasetManifest:
         return main([*command.split(), "--config", small_cfg, "--data", str(data),
                      "--out", str(out), "--epochs", "1"])
 
-    def test_stale_scenes_after_force_exit_3(self, tmp_path, small_cfg, capsys):
+    def test_gen_force_over_stale_scenes_exits_2(self, tmp_path, small_cfg, capsys):
+        """gen --force refuses a directory holding scenes its manifest would
+        not list, and the dataset already there stays readable."""
         data = tmp_path / "data"
-        for count, seed in (("4", "0"), ("2", "100")):
-            assert main(["gen", "--config", small_cfg, "--out", str(data),
-                         "--count", count, "--seed", seed, "--force"]) == 0
-        assert parse_keyvalue((data / "dataset.meta").read_text())["count"] == "2"
-        out = tmp_path / "ev"
-        assert self.run("eval --oracle", data, out, small_cfg) == 3
+        gen = ["gen", "--config", small_cfg, "--out", str(data), "--force"]
+        assert main(gen + ["--count", "4", "--seed", "0"]) == 0
+        before = {name: (data / name).read_bytes() for name in ("dataset.meta", "resolved.cfg")}
+        capsys.readouterr()
+        assert main(gen + ["--count", "2", "--seed", "100"]) == 2
         assert capsys.readouterr().err == (
-            f"error: {data / 'scenes' / '0'}: scene 0 is not listed in "
-            f"{data / 'dataset.meta'}\n")
-        assert not out.exists()
+            f"error: {data / 'scenes' / '0'}: scene 0 is not among the 2 scenes "
+            "from seed 100 that gen writes; remove it first\n")
+        assert {name: (data / name).read_bytes() for name in before} == before
+        assert not (data / "scenes" / "100").exists()
+        out = tmp_path / "ev"
+        assert self.run("eval --oracle", data, out, small_cfg) == 0
+        assert read_report(out)[0]["pq"] == "1.0000"
 
     @pytest.mark.parametrize("command", ["train", "eval --oracle"])
-    @pytest.mark.parametrize("edit", [_duplicate_scene, _remove_scene, _remove_manifest,
-                                      _malform_manifest, _drop_first_seed])
+    @pytest.mark.parametrize("edit", [_duplicate_scene, _unlisted_scene, _remove_scene,
+                                      _remove_manifest, _malform_manifest, _drop_first_seed])
     def test_scenes_differing_from_manifest_exit_3(self, tmp_path, dataset, small_cfg,
                                                     capsys, command, edit):
         data = tmp_path / "data"
@@ -805,7 +838,14 @@ class TestUsage:
     def test_bad_flag_value_is_usage_error(self):
         assert run_module("gen", "--epochs", "soon").returncode == 2
 
-    def test_readme_walkthrough_commands_parse(self, tmp_path):
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "viz", "ablate"])
+    def test_help_lists_a_flag_per_key(self, command):
+        run = run_module(command, "--help")
+        assert run.returncode == 0, run.stderr
+        listed = set(re.findall(r"--[\w-]+", run.stdout.decode()))
+        assert {"--" + key.replace("_", "-") for key in _KEY_ORDER[1:]} <= listed
+
+    def test_readme_walkthrough_commands_parse(self):
         """Every command of README's CLI walkthrough parses and merges its
         config, so a renamed or dropped flag or key fails here."""
         text = README.read_text(encoding="utf-8")
@@ -813,10 +853,5 @@ class TestUsage:
         commands = [line for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("corrseg ")]
         assert len(commands) == 6
-        for i, command in enumerate(commands):
-            printf = re.search(r"<\(printf '([^']*)'\)", command)
-            if printf:
-                cfg = tmp_path / f"{i}.cfg"
-                cfg.write_text(printf.group(1).replace("\\n", "\n"))
-                command = command.replace(printf.group(0), str(cfg))
+        for command in commands:
             _merge(build_parser().parse_args(shlex.split(command)[1:]))
