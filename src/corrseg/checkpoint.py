@@ -175,6 +175,12 @@ def model_state(model: PanopticModel) -> Dict[str, np.ndarray]:
     return state
 
 
+def _shown(key: str, value: float) -> str:
+    """A stored config value as messages show it: scm_mode by its name."""
+    named = key == "config.scm_mode" and value in range(len(_SCM_MODES))
+    return _SCM_MODES[int(value)] if named else f"{value:g}"
+
+
 def check_config(arrays: Dict[str, np.ndarray], cfg: ModelConfig, source) -> None:
     """Raise DataFormatError when stored architecture disagrees with cfg."""
     expected = config_entries(cfg)
@@ -191,8 +197,8 @@ def check_config(arrays: Dict[str, np.ndarray], cfg: ModelConfig, source) -> Non
         stored = float(entry.reshape(()))
         if stored != float(want):
             mismatched.append(
-                f"{key.split('.', 1)[1]} (checkpoint {stored:g}, "
-                f"requested {float(want):g})"
+                f"{key.split('.', 1)[1]} (checkpoint {_shown(key, stored)}, "
+                f"requested {_shown(key, float(want))})"
             )
     if mismatched:
         raise DataFormatError(

@@ -3,12 +3,15 @@
 Configuration is merged from three layers with fixed precedence: a
 command-line flag beats a config-file entry, which beats the built-in
 default.  The keys are the run settings plus every ModelConfig field and
-every SceneConfig field but its per-scene seed, and each key has a flag,
-``--<key>`` with dashes for underscores.  Config files use the
+every SceneConfig field but its per-scene seed.  Config files use the
 same ``key=value`` line format as scene manifests; unknown keys are
-rejected.  Every command writes the fully merged configuration to
-``<out>/resolved.cfg`` in a fixed key order, so any run can be
-reproduced by passing that file back via ``--config``.
+rejected.  Each key has one flag, spelled in full as ``--<key>`` with
+dashes for underscores, and ``--key=value`` (or ``--key value``) means
+the line ``key=value``; a bare bool flag means 1.  An empty value means
+unset, which only a key without a default accepts.  Every command
+writes the fully merged configuration to ``<out>/resolved.cfg`` in a
+fixed key order, so any run can be reproduced by passing that file back
+via ``--config``.
 
 Exit codes: 0 on success, 2 for usage or configuration errors, 3 for
 malformed or missing data, 4 for a numerical failure during training.
@@ -118,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, descr, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=descr)
+        cmd = sub.add_parser(name, help=descr, allow_abbrev=False)
         cmd.add_argument("--config", help="key=value file merged below flags")
         for key in _KEY_ORDER[1:]:
-            if _TYPES[key] is bool:
-                cmd.add_argument(_flag(key), action="store_const", const=True,
-                                 help=_HELP.get(key))
-            else:
-                cmd.add_argument(_flag(key), type=_TYPES[key], help=_HELP.get(key))
+            # A flag's value is the text of its config line; a bare bool flag is 1.
+            bare = {"nargs": "?", "const": "1"} if _TYPES[key] is bool else {}
+            cmd.add_argument(_flag(key), help=_HELP.get(key), **bare)
     return parser
 
 
 def _merge(args: argparse.Namespace) -> Dict[str, object]:
     merged = dict(_DEFAULTS, command=args.command)
+    # (message prefix, key, text): the file's lines, then the flags given.
+    entries = []
     if args.config is not None:
         path = Path(args.config)
         try:
@@ -139,19 +142,17 @@ def _merge(args: argparse.Namespace) -> Dict[str, object]:
             raise DataFormatError(f"{path}: cannot read config: {exc}") from exc
         except UnicodeDecodeError:
             raise DataFormatError(f"{path}: config is not UTF-8") from None
-        for key, raw in parse_keyvalue(text, str(path)).items():
-            if key == "command":
-                continue
-            if key not in merged:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            value = _parse_value(key, raw)
-            if value is None and merged[key] is not None:
-                raise ConfigError(f"{path}: {key} needs a value")
-            merged[key] = value
-    for key in _KEY_ORDER[1:]:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
+        entries = [(f"{path}: ", key, raw)
+                   for key, raw in parse_keyvalue(text, str(path)).items() if key != "command"]
+    entries += [("", key, getattr(args, key))
+                for key in _KEY_ORDER[1:] if getattr(args, key) is not None]
+    for where, key, raw in entries:
+        if key not in merged:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        value = _parse_value(key, raw)
+        if value is None and _DEFAULTS[key] is not None:
+            raise ConfigError(f"{where}{key} needs a value")
+        merged[key] = value
     _check_values(merged)
     return merged
 
@@ -321,10 +322,8 @@ def _oracle_inference(
 
 
 def cmd_eval(merged: Dict[str, object]) -> int:
-    if merged["oracle"] and merged["checkpoint"] is not None:
-        raise ConfigError("pass either --checkpoint or --oracle, not both")
-    if not merged["oracle"] and merged["checkpoint"] is None:
-        raise ConfigError("eval requires --checkpoint (or --oracle)")
+    if merged["oracle"] == (merged["checkpoint"] is not None):
+        raise ConfigError("eval takes exactly one of --checkpoint and --oracle")
     if merged["seed"] is None:
         merged["seed"] = 0
     scenes = _load_dataset(Path(merged["data"]))

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -128,16 +129,30 @@ class TestGen:
     def test_missing_required_flags(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x"), "--seed", "0"]) == 2
 
+    def test_empty_out_flag_is_unset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--out=", "--count", "0", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "error: gen requires --out\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_abbreviated_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--ep", "3", "--out", str(tmp_path / "o"), "--count", "0",
+                  "--seed", "0"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigMerging:
     def test_flag_beats_file_beats_default(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs=5\nlr=0.2\n")
+        cfg.write_text("epochs=5\nlr=0.2\ntwin_mode=1\n")
         out = tmp_path / "out"
         assert main(["gen", "--config", str(cfg), "--out", str(out),
-                     "--count", "0", "--seed", "1", "--epochs", "2"]) == 0
+                     "--count", "0", "--seed", "1", "--epochs", "2", "--twin-mode=0"]) == 0
         resolved = read_resolved(out)
         assert resolved["epochs"] == "2"    # flag wins
+        assert resolved["twin_mode"] == "0"  # a bool flag, too
         assert resolved["lr"] == "0.2"      # file wins
         assert resolved["channels"] == "16"  # default
 
@@ -265,15 +280,19 @@ class TestConfigMerging:
 
     def test_bad_scm_mode_is_one_error_from_flag_or_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("scm_mode=local\n")
-        errors = []
-        for source in (["--scm-mode", "local"], ["--config", str(cfg)]):
-            assert main(["gen", "--out", str(tmp_path / "o"), "--count", "0",
-                         "--seed", "1", *source]) == 2
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == (
-            "error: scm_mode must be one of global, axial, got 'local'\n")
-        assert not (tmp_path / "o").exists()
+        for key, value, error in [
+            ("scm_mode", "local", "scm_mode must be one of global, axial, got 'local'"),
+            ("epochs", "soon", "epochs expects a number, got 'soon'"),
+            ("twin_mode", "maybe", "twin_mode expects a boolean (0/1/true/false), got 'maybe'"),
+        ]:
+            cfg.write_text(f"{key}={value}\n")
+            errors = []
+            for source in ([f"--{key.replace('_', '-')}={value}"], ["--config", str(cfg)]):
+                assert main(["gen", "--out", str(tmp_path / "o"), "--count", "0",
+                             "--seed", "1", *source]) == 2
+                errors.append(capsys.readouterr().err)
+            assert errors[0] == errors[1] == f"error: {error}\n"
+            assert not (tmp_path / "o").exists()
 
 
 _CONFIG_VALUES = st.one_of(
@@ -296,6 +315,39 @@ def test_any_config_file_fails_closed(config, pass_seed):
         cfg.write_bytes(config)
         argv = ["gen", "--config", str(cfg), "--out", str(Path(tmp) / "o"), "--count", "1"]
         assert main(argv + ["--seed", "0"] * pass_seed) in (0, 2, 3)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        return exc.code
+
+
+_LINE_VALUES = _CONFIG_VALUES.map(str).map(
+    lambda text: "".join(c for c in text if unicodedata.category(c) not in ("Cc", "Zl", "Zp")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.dictionaries(
+    st.sampled_from([key for key in _KEY_ORDER[1:] if key not in ("out", "count", "seed")]),
+    _LINE_VALUES, max_size=6))
+def test_flags_mean_what_config_lines_mean(entries):
+    """``--key=value`` flags and the lines ``key=value`` give the same exit
+    code and, on success, the same resolved.cfg."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in entries.items()),
+                       encoding="utf-8")
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+        runs = []
+        for name, source in (("file", ["--config", str(cfg)]), ("flags", flags)):
+            out = Path(tmp) / name
+            code = _exit_code(["gen", "--out", str(out), "--count", "0", "--seed", "0",
+                               *source])
+            lines = (out / "resolved.cfg").read_text().splitlines() if code == 0 else []
+            runs.append((code, [line for line in lines if not line.startswith("out=")]))
+        assert runs[0] == runs[1]
 
 
 class TestTrain:
@@ -474,19 +526,24 @@ class TestEval:
         (row,) = read_report(out)
         assert row["pq_th"] == "0.0000"
 
-    def test_config_mismatch_rejected(self, tmp_path, dataset, trained, capsys):
+    def test_config_mismatch_rejected(self, tmp_path, dataset, trained, small_cfg, capsys):
         out = tmp_path / "bad"
         checkpoint = trained / "checkpoint.bin"
-        rc = main(["eval", "--data", str(dataset),
-                   "--checkpoint", str(checkpoint),
-                   "--out", str(out), "--n-fourier", "5"])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            f"error: {checkpoint}: checkpoint does not fit the requested "
-            "model: n_fourier (checkpoint 2, requested 5); s_ref "
-            "(checkpoint 2, requested 4); channels (checkpoint 4, requested "
-            "16); grid_size (checkpoint 2, requested 4)\n"
-        )
+        for flags, mismatch in [
+            (["--n-fourier", "5"],
+             "n_fourier (checkpoint 2, requested 5); s_ref (checkpoint 2, requested 4); "
+             "channels (checkpoint 4, requested 16); grid_size (checkpoint 2, requested 4)"),
+            (["--config", small_cfg, "--scm-mode", "global"],
+             "scm_mode (checkpoint axial, requested global)"),
+        ]:
+            rc = main(["eval", "--data", str(dataset),
+                       "--checkpoint", str(checkpoint),
+                       "--out", str(out), *flags])
+            assert rc == 3
+            assert capsys.readouterr().err == (
+                f"error: {checkpoint}: checkpoint does not fit the requested "
+                f"model: {mismatch}\n"
+            )
 
     def test_one_inference_per_scene(self, tmp_path, trained, monkeypatch):
         import corrseg.train as train_mod
@@ -514,11 +571,14 @@ class TestEval:
         (row,) = read_report(out)
         assert row["twin_rate"] != "nan"
 
-    def test_oracle_and_checkpoint_conflict(self, tmp_path, dataset, trained):
-        rc = main(["eval", "--data", str(dataset), "--oracle",
-                   "--checkpoint", str(trained / "checkpoint.bin"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_oracle_and_checkpoint_conflict(self, tmp_path, dataset, trained, capsys):
+        both = ["--oracle", "--checkpoint", str(trained / "checkpoint.bin")]
+        for flags in (both, ["--oracle=0"]):
+            rc = main(["eval", "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: eval takes exactly one of --checkpoint and --oracle\n")
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed, categories", [(2, "2,1"), (50, "0,0")])
     def test_twin_scene_without_its_pair_is_not_counted(self, tmp_path, seed, categories):
