@@ -45,6 +45,8 @@ from .model import STRIDE, InstancePrediction, ModelConfig, PanopticModel, check
 from .postprocess import PanopticSegmentation
 from .rng import SplitMix64
 from .synth import (
+    MAX_SIDE,
+    MIN_SIDE,
     SceneConfig,
     SyntheticScene,
     generate_scene,
@@ -110,7 +112,8 @@ def _parse_value(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} expects {noun}, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,17 +209,22 @@ def _numbered_dirs(scenes_root: Path) -> List[Tuple[int, Path]]:
     return found
 
 
-def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
-    """(seed, directory) of every scene that root's dataset.meta lists, by
-    seed.  The numbered directories (names may be zero-padded) must be
-    exactly the listed seeds, each once."""
+def _scene_dirs(root: Path) -> Tuple[Tuple[int, int], Dict[int, Path]]:
+    """The (height, width) of root's scenes and the directory of every
+    scene, by seed, as root's dataset.meta lists them.  The numbered
+    directories (names may be zero-padded) must be exactly the listed
+    seeds, each once."""
     manifest = root / "dataset.meta"
     try:
         meta = parse_keyvalue(manifest.read_text(encoding="utf-8"), str(manifest))
         first, count = int(meta["first_seed"]), int(meta["count"])
+        size = int(meta["height"]), int(meta["width"])
     except (OSError, KeyError, ValueError) as exc:
         raise DataFormatError(
             f"{manifest}: missing or malformed dataset manifest ({exc})") from None
+    if not all(MIN_SIDE <= side <= MAX_SIDE for side in size):
+        raise DataFormatError(f"{manifest}: scene size {size[0]}x{size[1]} is outside "
+                              f"[{MIN_SIDE}, {MAX_SIDE}]")
     scenes_root = root / "scenes"
     if not scenes_root.is_dir():
         raise DataFormatError(f"{scenes_root}: no scenes directory")
@@ -233,11 +241,16 @@ def _scene_dirs(root: Path) -> List[Tuple[int, Path]]:
         raise DataFormatError(f"{scenes_root}: scene {missing} listed in {manifest} is missing")
     if not found:
         raise DataFormatError(f"{scenes_root}: dataset is empty")
-    return sorted(found.items())
+    return size, dict(sorted(found.items()))
 
 
-def _load_dataset(root: Path) -> List[SyntheticScene]:
-    return [load_scene(path) for _, path in _scene_dirs(root)]
+def _read_scene(path: Path, size: Tuple[int, int]) -> SyntheticScene:
+    """The scene saved at path, which must be of its manifest's size."""
+    scene = load_scene(path)
+    if (scene.height, scene.width) != size:
+        raise DataFormatError(f"{path}: scene is {scene.height}x{scene.width}, but "
+                              f"dataset.meta gives {size[0]}x{size[1]}")
+    return scene
 
 
 # -- commands -------------------------------------------------------------
@@ -272,10 +285,11 @@ def _write_series(path: Path, index: str, name: str, values: Sequence[float]) ->
 def cmd_train(merged: Dict[str, object]) -> int:
     if merged["seed"] is None:
         merged["seed"] = 0
-    scenes = _load_dataset(Path(merged["data"]))
+    size, paths = _scene_dirs(Path(merged["data"]))
     cfg = _model_config(merged)
-    for height, width in {(scene.height, scene.width) for scene in scenes}:
-        check_scene_size(cfg, height, width)
+    check_scene_size(cfg, *size)
+    # Every epoch walks every scene, so they stay in memory.
+    scenes = [_read_scene(path, size) for path in paths.values()]
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -326,23 +340,20 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         raise ConfigError("eval takes exactly one of --checkpoint and --oracle")
     if merged["seed"] is None:
         merged["seed"] = 0
-    scenes = _load_dataset(Path(merged["data"]))
-    model = None
-    if not merged["oracle"]:
-        cfg = _model_config(merged)
-        for height, width in {(scene.height, scene.width) for scene in scenes}:
-            check_scene_size(cfg, height, width)
-        model = _load_model(merged, cfg)
-    out = Path(merged["out"])
-    write_resolved(merged, out)
-
-    if model is None:
+    size, paths = _scene_dirs(Path(merged["data"]))
+    # Scored one at a time, so only one scene is ever in memory.
+    scenes = (_read_scene(path, size) for path in paths.values())
+    if merged["oracle"]:
         result, rate = score_scenes(scenes, _oracle_inference)
         variant = "oracle"
     else:
-        result, rate = evaluate_scenes(model, scenes)
+        cfg = _model_config(merged)
+        check_scene_size(cfg, *size)
+        result, rate = evaluate_scenes(_load_model(merged, cfg), scenes)
         variant = "model"
-
+    # Written only now, so that a scene refused mid-stream leaves no <out>.
+    out = Path(merged["out"])
+    write_resolved(merged, out)
     write_report(out / "report.csv", [report_row(variant, result, rate, 0.0)])
     print(
         f"{variant}: pq={result.pq:.4f} sq={result.sq:.4f} rq={result.rq:.4f} "
@@ -366,15 +377,14 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     branch = merged["branch"]
     x, y = _parse_point(merged["point"])
     data = Path(merged["data"])
-    scene_paths = dict(_scene_dirs(data))
+    size, paths = _scene_dirs(data)
     if merged["seed"] is None:
-        merged["seed"] = min(scene_paths)
-    if merged["seed"] not in scene_paths:
+        merged["seed"] = min(paths)
+    if merged["seed"] not in paths:
         raise DataFormatError(f"{data / 'dataset.meta'}: lists no scene {merged['seed']}")
-    scene_path = scene_paths[merged["seed"]]
     cfg = _model_config(merged)
-    scene = load_scene(scene_path)
-    check_scene_size(cfg, scene.height, scene.width)
+    check_scene_size(cfg, *size)
+    scene = _read_scene(paths[merged["seed"]], size)
     if not (cfg.use_scm if branch == "scm" else cfg.use_icm):
         raise ConfigError(f"use_{branch}=0: the model has no {branch} branch to visualize")
     height, width = scene.height // STRIDE, scene.width // STRIDE

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -282,7 +283,9 @@ class TestConfigMerging:
         cfg = tmp_path / "c.cfg"
         for key, value, error in [
             ("scm_mode", "local", "scm_mode must be one of global, axial, got 'local'"),
-            ("epochs", "soon", "epochs expects a number, got 'soon'"),
+            ("epochs", "soon", "epochs expects an integer, got 'soon'"),
+            ("epochs", "2.5", "epochs expects an integer, got '2.5'"),
+            ("lr", "fast", "lr expects a number, got 'fast'"),
             ("twin_mode", "maybe", "twin_mode expects a boolean (0/1/true/false), got 'maybe'"),
         ]:
             cfg.write_text(f"{key}={value}\n")
@@ -608,6 +611,43 @@ class TestEval:
         (row,) = read_report(out)
         assert row["twin_rate"] == "1.0000"
 
+    def test_peak_memory_is_flat_in_scene_count(self, tmp_path, trained, small_cfg):
+        """eval holds one scene at a time, so its peak is the same on 3 and
+        on 24 scenes."""
+        size = ["--height", "64", "--width", "64"]
+        data = {}
+        for count in (3, 24):
+            data[count] = tmp_path / f"data{count}"
+            assert main(["gen", "--config", small_cfg, *size, "--out", str(data[count]),
+                         "--count", str(count), "--seed", "0"]) == 0
+        for source in (["--oracle"], ["--checkpoint", str(trained / "checkpoint.bin")]):
+            peaks = []
+            for count in (3, 3, 24):  # the first run warms up
+                out = tmp_path / f"ev{len(peaks)}{source[0]}"
+                tracemalloc.start()
+                try:
+                    assert main(["eval", "--config", small_cfg, *size, *source,
+                                 "--data", str(data[count]), "--out", str(out)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[2] - peaks[1]) < 0.5 * 2**20, (source, peaks)
+
+    @pytest.mark.parametrize("source", ["oracle", "checkpoint"])
+    def test_corrupt_last_scene_exits_3_and_writes_nothing(
+            self, tmp_path, dataset, trained, small_cfg, capsys, source):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        image = scene_dir(data, 10) / "image.ppm"
+        image.write_bytes(image.read_bytes()[:-1])
+        flags = {"oracle": ["--oracle"],
+                 "checkpoint": ["--checkpoint", str(trained / "checkpoint.bin")]}[source]
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", small_cfg, "--data", str(data),
+                     "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {image}: ")
+        assert not out.exists()
+
 
 def _duplicate_scene(data):
     shutil.copytree(data / "scenes" / "7", data / "scenes" / "007")
@@ -639,6 +679,16 @@ def _drop_first_seed(data):
     return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ('first_seed')"
 
 
+def _drop_height(data):
+    (data / "dataset.meta").write_text("count=4\nfirst_seed=7\nwidth=32\n")
+    return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ('height')"
+
+
+def _zero_height(data):
+    (data / "dataset.meta").write_text("count=4\nfirst_seed=7\nheight=0\nwidth=32\n")
+    return f"{data / 'dataset.meta'}: scene size 0x32 is outside [16, 1024]"
+
+
 class TestDatasetManifest:
     """A dataset holds exactly the scenes its dataset.meta lists."""
 
@@ -666,7 +716,8 @@ class TestDatasetManifest:
 
     @pytest.mark.parametrize("command", ["train", "eval --oracle"])
     @pytest.mark.parametrize("edit", [_duplicate_scene, _unlisted_scene, _remove_scene,
-                                      _remove_manifest, _malform_manifest, _drop_first_seed])
+                                      _remove_manifest, _malform_manifest, _drop_first_seed,
+                                      _drop_height, _zero_height])
     def test_scenes_differing_from_manifest_exit_3(self, tmp_path, dataset, small_cfg,
                                                     capsys, command, edit):
         data = tmp_path / "data"
@@ -675,6 +726,29 @@ class TestDatasetManifest:
         out = tmp_path / "run"
         assert self.run(command, data, out, small_cfg) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "eval --oracle", "viz"])
+    def test_scene_of_another_size_exits_3(self, tmp_path, dataset, icm_run, capsys,
+                                           command):
+        """Scenes must be of dataset.meta's size: scene 10 is 16x32 here."""
+        other = tmp_path / "other"
+        assert main(["gen", "--out", str(other), "--height", "16", "--width", "32",
+                     "--count", "1", "--seed", "10"]) == 0
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        shutil.rmtree(scene_dir(data, 10))
+        shutil.copytree(scene_dir(other, 10), scene_dir(data, 10))
+        cfg, run = icm_run
+        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+        extra = {"train": ["--epochs", "1"], "eval": checkpoint, "eval --oracle": [],
+                 "viz": checkpoint + ["--seed", "10", "--branch", "icm", "--point", "0,0"]}
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main([*command.split(), "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), *extra[command]]) == 3
+        assert capsys.readouterr().err == (f"error: {scene_dir(data, 10)}: scene is 16x32, "
+                                           "but dataset.meta gives 32x32\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("make_dir, message", [(False, "no scenes directory"),
