@@ -12,11 +12,6 @@ take Tensor operands.  Only `add` and `mul` also take a number or array,
 as a constant Tensor, so ``x * 2.0`` is ``mul(x, 2.0)`` and ``x + 1.0``
 is ``add(x, 1.0)``.
 
-`exp`, `log`, `div` and `relu` have no caller in the package: they are
-the chain-rule primitives of the composed-graph references in
-``tests/``, which check the fused loss, softmax and conv-layer nodes
-against op-by-op graphs.
-
 A graph is confined to one logical thread between construction and
 backward; tensors without gradient tracking are immutable by convention
 and safe to share across threads.
@@ -241,56 +236,7 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
     return make_node(a.data * b.data, (a, b), grad_fn)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
-
-    return make_node(a.data / b.data, (a, b), grad_fn)
-
-
 # -- elementwise unary ops ---------------------------------------------------
-
-
-def sin(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        a._accum(g * np.cos(a.data), owned=True)
-
-    return make_node(np.sin(a.data), (a,), grad_fn)
-
-
-def cos(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        a._accum(-g * np.sin(a.data), owned=True)
-
-    return make_node(np.cos(a.data), (a,), grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def grad_fn(g):
-        a._accum(g * out_data, owned=True)
-
-    return make_node(out_data, (a,), grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        a._accum(g / a.data, owned=True)
-
-    return make_node(np.log(a.data), (a,), grad_fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        a._accum(g * (a.data > 0), owned=True)
-
-    return make_node(np.maximum(a.data, 0.0), (a,), grad_fn)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -116,8 +116,23 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"{key} expects {noun}, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that keeps ``--`` as an option's value.
+
+    argparse drops a ``--`` argument as its end-of-options marker even when
+    it is an option's own value, so ``--lr=--`` would reach `_merge` as an
+    empty list and ``--use-scm=--`` as a bare flag.  Only an explicit
+    ``--key=--`` hands an option the single argument ``--``.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return "--"
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrseg",
         description="Synthetic panoptic-segmentation testbed with "
         "correlation-function feature enhancement.",

@@ -12,7 +12,8 @@ Since A sin(x + psi) = (A cos psi) sin x + (A sin psi) cos x, the one
 evaluator, :func:`corr_profile`, computes a0 + [A cos psi | A sin psi] @ B,
 where B is the constant (2N, M) basis of sin(n (pi / L) j) and
 cos(n (pi / L) j) over the M sample positions: transcendentals run per
-location and harmonic, not per sample.  :func:`field_profiles` applies
+location and harmonic, not per sample.  A profile is one graph node
+whose backward is closed-form.  :func:`field_profiles` applies
 it to a whole parameter field, one axis at a time, and is the one place
 the modules and the CLI get profiles from.
 
@@ -70,25 +71,40 @@ class CorrParamField:
 
 
 def corr_profile(theta: Tensor, coords, length: int) -> Tensor:
-    """Differentiable profile evaluation for packed parameters.
+    """Differentiable profile evaluation for packed parameters, one node.
 
     theta: (..., 2N+1) with layout [a0, A_1..A_N, psi_1..psi_N];
     coords: M sample positions, a plain array.  Returns (..., M) as
     a0 + [A cos psi | A sin psi] @ B with the constant (2N, M) basis
-    B = [sin(n w j); cos(n w j)], w = pi / length.
+    B = [sin(n w j); cos(n w j)], w = pi / length.  With G the output
+    gradient and [dc | ds] = G @ B^T, the backward is da0 = rowsum(G),
+    dA = dc cos psi + ds sin psi and dpsi = A (ds cos psi - dc sin psi).
     """
     theta = ad.as_tensor(theta)
     n = n_terms_from_channels(theta.shape[-1])
     lead = theta.shape[:-1]
     coords = np.asarray(coords, dtype=float).reshape(-1)
     args = np.multiply.outer(np.arange(1, n + 1) * (np.pi / length), coords)
-    basis = Tensor(np.concatenate([np.sin(args), np.cos(args)]))
-    amps, phases = theta[..., 1:n + 1], theta[..., n + 1:]
-    coeffs = ad.concat([ad.mul(amps, ad.cos(phases)), ad.mul(amps, ad.sin(phases))])
+    basis = np.concatenate([np.sin(args), np.cos(args)])
+    amps, phases = theta.data[..., 1:n + 1], theta.data[..., n + 1:]
+    cos_p, sin_p = np.cos(phases), np.sin(phases)
     rows = int(np.prod(lead))  # reshape(-1, 0) is ambiguous when N == 0
-    waves = ad.reshape(ad.matmul(ad.reshape(coeffs, (rows, 2 * n)), basis),
-                       lead + (coords.size,))
-    return ad.add(waves, theta[..., 0:1])
+    coeffs = np.concatenate([amps * cos_p, amps * sin_p], axis=-1).reshape(rows, 2 * n)
+    out_data = (coeffs @ basis).reshape(lead + (coords.size,))
+    out_data += theta.data[..., 0:1]
+
+    def grad_fn(g):
+        dcoeffs = (g.reshape(rows, coords.size) @ basis.T).reshape(lead + (2 * n,))
+        dc, ds = dcoeffs[..., :n], dcoeffs[..., n:]
+        grad = np.empty(theta.shape)
+        grad[..., 0] = g.sum(axis=-1)
+        grad[..., 1:n + 1] = dc * cos_p + ds * sin_p
+        # Grouped as (ds A) cos psi - (dc A) sin psi, it rounds as the
+        # op-by-op graph of sin, cos and mul nodes does, bit for bit.
+        grad[..., n + 1:] = ds * amps * cos_p - dc * amps * sin_p
+        theta._accum(grad, owned=True)
+
+    return ad.make_node(out_data, (theta,), grad_fn)
 
 
 def field_profiles(field: CorrParamField, xs, ys):

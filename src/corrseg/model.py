@@ -246,8 +246,10 @@ def decode_instances(
     scores = cate[cells, classes]
     order = np.lexsort((classes, cells, -scores))
     cells, classes, scores = cells[order], classes[order], scores[order]
-    probs = upsample_bilinear(ad.stable_sigmoid(mask_logits[cells]), STRIDE)
-    return InstancePrediction(masks=probs > 0.5, categories=classes, scores=scores)
+    # A cell's classes share its one mask: upsample each distinct cell once.
+    distinct, which = np.unique(cells, return_inverse=True)
+    probs = upsample_bilinear(ad.stable_sigmoid(mask_logits[distinct]), STRIDE)
+    return InstancePrediction(masks=(probs > 0.5)[which], categories=classes, scores=scores)
 
 
 def upsample_nearest(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -273,6 +275,16 @@ def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
     # Interpolate along x on the h input rows first; picking rows y0 and
     # y1 afterwards gives the same per-pixel arithmetic on 1/factor of
-    # the rows.
-    cols = arr[..., x0] * (1.0 - wx) + arr[..., x1] * wx
-    return cols[..., y0, :] * (1.0 - wy) + cols[..., y1, :] * wy
+    # the rows.  Each gather is a fresh array, so the products and sums
+    # run in place on it.
+    cols = arr.take(x0, axis=-1)
+    cols *= 1.0 - wx
+    right = arr.take(x1, axis=-1)
+    right *= wx
+    cols += right
+    out = cols.take(y0, axis=-2)
+    out *= 1.0 - wy
+    below = cols.take(y1, axis=-2)
+    below *= wy
+    out += below
+    return out

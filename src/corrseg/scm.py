@@ -80,9 +80,9 @@ class ScmWeights:
 
 def predict_params(features: Tensor, weights: ScmWeights) -> CorrParamField:
     """Densely predict each location's horizontal/vertical parameters."""
-    base = ad.conv2d(features, weights.pre_conv) + weights.pre_bias
-    hor = ad.conv2d(base, weights.hor_head) + weights.hor_bias
-    ver = ad.conv2d(base, weights.ver_head) + weights.ver_bias
+    base = ad.conv2d(features, weights.pre_conv, weights.pre_bias)
+    hor = ad.conv2d(base, weights.hor_head, weights.hor_bias)
+    ver = ad.conv2d(base, weights.ver_head, weights.ver_bias)
     return CorrParamField(hor=hor, ver=ver)
 
 

@@ -18,6 +18,12 @@ gradients come from the chain rule through each op rather than from the
 package's closed forms.  Their forwards run the same numpy operations in
 the same order, so the two values agree bit for bit.
 
+`exp`, `log`, `div`, `relu`, `sin` and `cos` are the elementwise graph
+ops that only these references and the tests use.  They are built on
+`corrseg.autodiff.make_node`, as the package's own ops are.
+`corr_profile_ops` composes a correlation profile from them op by op,
+against which the one-node `corrseg.corrfn.corr_profile` is checked.
+
 `check_gradients` compares reverse-mode gradients against central
 finite differences.
 
@@ -34,6 +40,43 @@ from corrseg.autodiff import Tensor, no_grad
 from corrseg.errors import AutodiffError, NumericsError, ShapeError
 from corrseg.losses import DICE_EPS, FOCAL_ALPHA
 from corrseg.metrics import PqAccumulator
+
+
+def div(a, b):
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accum(ad._unbroadcast(g / b.data, a.shape), owned=True)
+        if b.requires_grad:
+            b._accum(ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+
+    return ad.make_node(a.data / b.data, (a, b), grad_fn)
+
+
+def sin(a):
+    return ad.make_node(np.sin(a.data), (a,),
+                        lambda g: a._accum(g * np.cos(a.data), owned=True))
+
+
+def cos(a):
+    return ad.make_node(np.cos(a.data), (a,),
+                        lambda g: a._accum(-g * np.sin(a.data), owned=True))
+
+
+def exp(a):
+    out_data = np.exp(a.data)
+    return ad.make_node(out_data, (a,), lambda g: a._accum(g * out_data, owned=True))
+
+
+def log(a):
+    return ad.make_node(np.log(a.data), (a,), lambda g: a._accum(g / a.data, owned=True))
+
+
+def relu(a):
+    return ad.make_node(np.maximum(a.data, 0.0), (a,),
+                        lambda g: a._accum(g * (a.data > 0), owned=True))
+
+
+_relu_op = relu  # conv_bias_relu's `relu` flag, named as conv2d's, hides the op
 
 
 def mirror_extend(c):
@@ -84,6 +127,22 @@ def per_harmonic_profile(theta, coords, length):
     return out
 
 
+def corr_profile_ops(theta, coords, length):
+    """`corrseg.corrfn.corr_profile` as a graph of twelve elementwise,
+    structural and matmul nodes: a0 + [A cos psi | A sin psi] @ B."""
+    n = (theta.shape[-1] - 1) // 2
+    lead = theta.shape[:-1]
+    coords = np.asarray(coords, dtype=float).reshape(-1)
+    args = np.multiply.outer(np.arange(1, n + 1) * (np.pi / length), coords)
+    basis = Tensor(np.concatenate([np.sin(args), np.cos(args)]))
+    amps, phases = theta[..., 1:n + 1], theta[..., n + 1:]
+    coeffs = ad.concat([ad.mul(amps, cos(phases)), ad.mul(amps, sin(phases))])
+    rows = int(np.prod(lead))
+    waves = ad.reshape(ad.matmul(ad.reshape(coeffs, (rows, 2 * n)), basis),
+                       lead + (coords.size,))
+    return ad.add(waves, theta[..., 0:1])
+
+
 def conv2d_grads(x, kernel, g, stride=1):
     """(dx, dkernel) of a same-padded correlation sampled every `stride`.
 
@@ -116,21 +175,21 @@ def conv_bias_relu(x, kernel, bias=None, stride=1, relu=False):
     out = ad.conv2d(x, kernel, stride=stride)
     if bias is not None:
         out = out + bias
-    return ad.relu(out) if relu else out
+    return _relu_op(out) if relu else out
 
 
 def dice_loss(pred, target):
     t = target.astype(float)
     inter = ad.tsum(ad.mul(pred, Tensor(t)), axis=(-2, -1))
     denom = ad.tsum(ad.mul(pred, pred), axis=(-2, -1)) + Tensor((t * t).sum(axis=(-2, -1)))
-    return ad.div(inter * 2.0 + DICE_EPS, denom + DICE_EPS) * -1.0 + 1.0
+    return div(inter * 2.0 + DICE_EPS, denom + DICE_EPS) * -1.0 + 1.0
 
 
 def _log_sigmoid(z):
     # log sigmoid(z) = -relu(-z) - log(1 + exp(-|z|)), exact for any z
-    neg = ad.relu(z * -1.0)
-    mag = ad.relu(z) + neg
-    return (neg + ad.log(ad.exp(mag * -1.0) + 1.0)) * -1.0
+    neg = relu(z * -1.0)
+    mag = relu(z) + neg
+    return (neg + log(exp(mag * -1.0) + 1.0)) * -1.0
 
 
 def focal_loss(logits, target_onehot):
@@ -156,7 +215,7 @@ def cross_entropy(logits, target_ids):
     onehot[np.arange(ids.size), ids] = 1.0
     # The row max is a constant shift: log-softmax does not depend on it.
     shifted = flat + Tensor(flat.data.max(axis=-1, keepdims=True) * -1.0)
-    log_probs = shifted + ad.log(ad.tsum(ad.exp(shifted), axis=-1, keepdims=True)) * -1.0
+    log_probs = shifted + log(ad.tsum(exp(shifted), axis=-1, keepdims=True)) * -1.0
     picked = ad.tsum(ad.mul(log_probs, Tensor(onehot)))
     return picked * (-1.0 / ids.size)
 

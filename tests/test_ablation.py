@@ -61,7 +61,18 @@ class TestVariantModels:
         model = make_variant_model("baseline", ModelConfig(), 0)
         loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
         ops = [node for node in loss._topo_order() if node._grad_fn is not None]
-        assert len(ops) <= 32
+        assert len(ops) == 32
+
+    @pytest.mark.parametrize("variant, nodes", [
+        ("scm", 44), ("icm", 41), ("scm_icm", 53),
+        ("coords", 34), ("sinusoid", 33)])
+    def test_step_graph_node_count(self, variant, nodes):
+        # Each correlation profile and each SCM/ICM head conv (bias
+        # included) is one node.
+        scene = make_twin_dataset(1, 1000)[0]
+        model = make_variant_model(variant, ModelConfig(), 0)
+        loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
+        assert sum(node._grad_fn is not None for node in loss._topo_order()) == nodes
 
 
 class TestCoordsEncoder:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrseg
@@ -335,6 +335,9 @@ _LINE_VALUES = _CONFIG_VALUES.map(str).map(
 @given(entries=st.dictionaries(
     st.sampled_from([key for key in _KEY_ORDER[1:] if key not in ("out", "count", "seed")]),
     _LINE_VALUES, max_size=6))
+# argparse takes a lone "--" for its end-of-options marker.
+@example(entries={"train_seed": "--"})
+@example(entries={"use_scm": "--"})
 def test_flags_mean_what_config_lines_mean(entries):
     """``--key=value`` flags and the lines ``key=value`` give the same exit
     code and, on success, the same resolved.cfg."""
@@ -351,6 +354,13 @@ def test_flags_mean_what_config_lines_mean(entries):
             lines = (out / "resolved.cfg").read_text().splitlines() if code == 0 else []
             runs.append((code, [line for line in lines if not line.startswith("out=")]))
         assert runs[0] == runs[1]
+
+
+def test_config_flag_value_dashdash_names_a_file(tmp_path):
+    # argparse drops a lone "--" as its end-of-options marker; as an
+    # option's own value it is a file name like any other.
+    argv = ["gen", "--out", str(tmp_path / "o"), "--count", "0", "--seed", "0"]
+    assert main(argv + ["--config=--"]) == 3
 
 
 class TestTrain:

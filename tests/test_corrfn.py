@@ -9,7 +9,8 @@ from corrseg import corrfn as cf
 from corrseg import icm
 from corrseg.errors import ShapeError
 from corrseg.rng import SplitMix64
-from oracles import check_gradients, fit_dft, mirror_extend, per_harmonic_profile
+from oracles import (check_gradients, corr_profile_ops, fit_dft, mirror_extend,
+                     per_harmonic_profile)
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -194,3 +195,46 @@ class TestCorrProfile:
             lambda t: ad.mul(cf.corr_profile(t, coords, 6), 0.3).sum(), x
         )
         assert err < 1e-4
+
+
+class TestCorrProfileNode:
+    """The one-node profile against the op-by-op graph it replaced."""
+
+    @staticmethod
+    def samples(coords):
+        if coords == "integer":
+            return np.arange(5, dtype=float)
+        return icm.make_reference_grid(4, 5, 3).points[:, 0]
+
+    def test_one_tracked_node(self):
+        theta = ad.Tensor(SplitMix64(60).uniform_array((3, 4, 7), -1.0, 1.0),
+                          requires_grad=True)
+        out = cf.corr_profile(theta, np.arange(4.0), 4)
+        assert [node for node in out._topo_order() if node._grad_fn is not None] == [out]
+        assert out._parents == (theta,)
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 3])
+    @pytest.mark.parametrize("coords", ["integer", "fractional"])
+    def test_matches_composed_graph(self, n_terms, coords):
+        # Value and gradient bit for bit, under a random output gradient.
+        data = SplitMix64(61 + n_terms).uniform_array((4, 5, 2 * n_terms + 1), -2.0, 2.0)
+        samples = self.samples(coords)
+        weights = ad.Tensor(SplitMix64(62).uniform_array((4, 5, samples.size), -1.0, 1.0))
+        results = []
+        for evaluate in (cf.corr_profile, corr_profile_ops):
+            theta = ad.Tensor(data, requires_grad=True)
+            out = evaluate(theta, samples, 5)
+            ad.mul(out, weights).sum().backward()
+            results.append((out.data, theta.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_grad, want_grad)
+
+    @pytest.mark.parametrize("coords", ["integer", "fractional"])
+    def test_gradient_fd(self, coords):
+        theta = ad.Tensor(SplitMix64(63).uniform_array((2, 3, 7), -1.0, 1.0))
+        samples = self.samples(coords)
+        weights = ad.Tensor(SplitMix64(64).uniform_array((2, 3, samples.size), -1.0, 1.0))
+        err = check_gradients(
+            lambda t: ad.mul(cf.corr_profile(t, samples, 5), weights).sum(), theta)
+        assert err < 1e-8

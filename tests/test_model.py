@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from corrseg import autodiff as ad
+from corrseg import model as model_mod
 from corrseg.autodiff import Tensor
 from corrseg.errors import ConfigError, ShapeError
 from corrseg.model import (
@@ -92,8 +94,8 @@ class TestBackbone:
         # convolutions would keep after subsampling.
         model = PanopticModel(tiny_cfg(), SplitMix64(2))
         image = random_image(24, 16, seed=3)
-        x = ad.relu(ad.conv2d(image, model.stem1) + model.stem1_bias)[::2, ::2, :]
-        x = ad.relu(ad.conv2d(x, model.stem2) + model.stem2_bias)[::2, ::2, :]
+        x = oracles.relu(ad.conv2d(image, model.stem1) + model.stem1_bias)[::2, ::2, :]
+        x = oracles.relu(ad.conv2d(x, model.stem2) + model.stem2_bias)[::2, ::2, :]
         assert np.array_equal(model.backbone(image).data, x.data)
 
 
@@ -198,6 +200,27 @@ class TestDecode:
         for mask, cell in zip(pred.masks, [3, 0, 1]):
             want = upsample_bilinear(ad.stable_sigmoid(mask_logits[cell]), STRIDE) > 0.5
             assert np.array_equal(mask, want)
+
+    def test_classes_of_one_cell_share_one_upsampled_mask(self, monkeypatch):
+        cate = np.full((2, 2, 3), -10.0)
+        cate[0, 1, 0] = 2.0  # cell 1, first by score
+        cate[1, 0, 1] = 1.8  # cell 2
+        cate[0, 1, 2] = 1.5  # cell 1 again
+        mask_logits = SplitMix64(10).uniform_array((4, 4, 4), -3.0, 3.0)
+        upsampled = []
+
+        def counting(arr, factor):
+            upsampled.append(len(arr))
+            return upsample_bilinear(arr, factor)
+
+        monkeypatch.setattr(model_mod, "upsample_bilinear", counting)
+        pred = decode_instances(cate, mask_logits, self.cfg())
+        assert upsampled == [2]
+        assert list(pred.categories) == [0, 1, 2]
+        for mask, cell in zip(pred.masks, [1, 2, 1]):
+            want = upsample_bilinear(ad.stable_sigmoid(mask_logits[cell]), STRIDE) > 0.5
+            assert np.array_equal(mask, want)
+        assert np.array_equal(pred.masks[0], pred.masks[2])
 
     def test_masks_are_thresholded_at_image_scale(self):
         rng = SplitMix64(7)

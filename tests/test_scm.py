@@ -85,6 +85,31 @@ class TestPredictParams:
         np.testing.assert_allclose(packed[1:3], raw_hor[2, 1, 1:3], atol=1e-12)
         np.testing.assert_allclose(packed[3:5], raw_hor[2, 1, 3:5], atol=1e-12)
 
+    def test_matches_conv_plus_add_graph(self):
+        # The heads' biases inside conv2d against a separate add node per
+        # conv: values and every gradient bit for bit.
+        init = scm.ScmWeights.init(channels=3, n_terms=2, rng=SplitMix64(6))
+        x = SplitMix64(7).uniform_array((4, 5, 3), -1.0, 1.0)
+        g_hor, g_ver = (ad.Tensor(SplitMix64(s).uniform_array((4, 5, 5), -1.0, 1.0))
+                        for s in (8, 9))
+
+        def composed(features, w):
+            base = ad.conv2d(features, w.pre_conv) + w.pre_bias
+            return cf.CorrParamField(hor=ad.conv2d(base, w.hor_head) + w.hor_bias,
+                                     ver=ad.conv2d(base, w.ver_head) + w.ver_bias)
+
+        results = []
+        for predict in (scm.predict_params, composed):
+            weights = scm.ScmWeights(**{name.split(".")[1]: ad.Tensor(p.data, requires_grad=True)
+                                        for name, p in init.parameters().items()})
+            features = ad.Tensor(x, requires_grad=True)
+            field = predict(features, weights)
+            (ad.mul(field.hor, g_hor).sum() + ad.mul(field.ver, g_ver).sum()).backward()
+            results.append([field.hor.data, field.ver.data, features.grad]
+                           + [p.grad for p in weights.parameters().values()])
+        for got, want in zip(*results):
+            assert got is not None and np.array_equal(got, want)
+
     def test_channel_mismatch_rejected(self):
         weights = scm.ScmWeights.init(channels=3, n_terms=1, rng=SplitMix64(5))
         with pytest.raises(ShapeError, match="channel mismatch"):
