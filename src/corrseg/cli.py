@@ -20,6 +20,7 @@ malformed or missing data, 4 for a numerical failure during training.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from dataclasses import asdict
@@ -481,8 +482,31 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc malloc keep freed memory for reuse.
+
+    A training step frees its graph before the next forward.  With glibc's
+    defaults the freed top of the heap is trimmed after each step and
+    faulted back in by the next one.  Where the C library has no
+    ``mallopt``, the allocator keeps its defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD: return the free top of the heap to the system only
+    # beyond 1 GiB, above any command's peak.
+    mallopt(-1, 1 << 30)
+    # M_MMAP_THRESHOLD: blocks below 32 MiB, the ceiling of glibc's own
+    # sliding threshold, come from the heap instead of their own mmap.
+    mallopt(-3, 32 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_heap()
     handler, _, required = _COMMANDS[args.command]
     try:
         merged = _merge(args)

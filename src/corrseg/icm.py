@@ -14,7 +14,8 @@ contribution is exactly linear in the correlation values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class IcmWeights:
     head: scm.ScmWeights
     feat_proj: Tensor  # (1, 1, C, C)
     corr_proj: Tensor  # (1, 1, S*S, C)
+    # Reference grids by (H, W, S), built on a size's first encode.
+    _grids: Dict[Tuple[int, int, int], ReferenceGrid] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def init(cls, channels: int, n_terms: int, s: int, rng: SplitMix64) -> "IcmWeights":
@@ -86,8 +90,10 @@ class IcmWeights:
 
     def encode(self, features: Tensor) -> Tensor:
         """ICM output over a reference grid sized by ``corr_proj``'s inputs."""
-        s = math.isqrt(self.corr_proj.shape[2])
-        refs = make_reference_grid(features.shape[0], features.shape[1], s)
+        key = (features.shape[0], features.shape[1], math.isqrt(self.corr_proj.shape[2]))
+        refs = self._grids.get(key)
+        if refs is None:
+            refs = self._grids[key] = make_reference_grid(*key)
         return icm_forward(features, self, refs)
 
 

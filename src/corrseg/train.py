@@ -2,7 +2,10 @@
 
 Plain SGD (momentum 0.9, weight decay 1e-4) over scenes in a fixed order,
 one scene per step; ``fit`` is the one schedule that ``corrseg train``
-and every ablation variant run.  A non-finite loss aborts with
+and every ablation variant run.  Each step runs in ``train_step``, whose
+frame is the only holder of the step's graph, so training holds one
+graph at a time: a step's graph is freed before the next step's forward,
+also when a spike rejects its update.  A non-finite loss aborts with
 NumericsError so the caller keeps the last finished epoch's checkpoint.
 ``score_scenes`` is the one scoring loop, for a model and for the
 ground-truth oracle alike.  It runs one inference per scene and uses it
@@ -96,6 +99,31 @@ def scene_to_panoptic(scene: SyntheticScene) -> PanopticSegmentation:
     return PanopticSegmentation(category=scene.semantic.copy(), instance=instance)
 
 
+def train_step(
+    model: PanopticModel,
+    optimizer: SGD,
+    scene: SyntheticScene,
+    skip_above: Optional[float] = None,
+) -> float:
+    """Forward, loss and, unless the loss exceeds ``skip_above``, one SGD
+    update on one scene; returns the loss.
+
+    The step's graph is referenced only from this frame, so it is freed
+    when the step returns and the next step's forward never overlaps it.
+    """
+    outputs = model.forward(scene_image(scene))
+    loss = total_loss(outputs, scene, model.cfg)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericsError(f"non-finite loss {value!r} during training")
+    if skip_above is None or value <= skip_above:
+        optimizer.zero_grad()
+        loss.backward()
+        clip_gradients(optimizer.params)
+        optimizer.step()
+    return value
+
+
 def train_epoch(
     model: PanopticModel,
     optimizer: SGD,
@@ -121,18 +149,7 @@ def train_epoch(
             scene = flip_scene(scene,
                                horizontal=augment_rng.next_double() < 0.5,
                                vertical=augment_rng.next_double() < 0.5)
-        outputs = model.forward(scene_image(scene))
-        loss = total_loss(outputs, scene, model.cfg)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericsError(f"non-finite loss {value!r} during training")
-        losses.append(value)
-        if skip_above is not None and value > skip_above:
-            continue
-        optimizer.zero_grad()
-        loss.backward()
-        clip_gradients(optimizer.params)
-        optimizer.step()
+        losses.append(train_step(model, optimizer, scene, skip_above))
     if not losses:
         raise ValueError("no scenes to train on")
     return float(np.mean(losses))
@@ -202,7 +219,7 @@ def score_scenes(
         fused, pred = infer(scene)
         acc.add(fused, scene_to_panoptic(scene))
         if is_twin_scene(scene):
-            covered.append(twins_covered(pred, scene))
+            covered.append(_twins_covered(pred, scene))
     rate = sum(covered) / len(covered) if covered else float("nan")
     return acc.result(), rate
 
@@ -240,6 +257,11 @@ def twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
     of the predicted class."""
     if not is_twin_scene(scene):
         raise ValueError("scene has no twin pair")
+    return _twins_covered(pred, scene)
+
+
+def _twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
+    """``twins_covered`` for a scene already known to be a twin scene."""
     kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
     twins = np.stack([mask for mask, _ in scene.instances[:2]])
     inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))  # (2, n_kept)

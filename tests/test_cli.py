@@ -4,6 +4,7 @@ Most tests drive cli.main() in process for speed; a couple go through
 ``python -m corrseg`` to pin the argparse usage exit code.
 """
 
+import ctypes
 import os
 import re
 import shlex
@@ -14,6 +15,7 @@ import tempfile
 import tracemalloc
 import unicodedata
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,6 +390,30 @@ class TestTrain:
         a, b = outs
         assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
         assert (a / "losses.csv").read_bytes() == (b / "losses.csv").read_bytes()
+
+    def test_allocator_settings_take(self, tmp_path, dataset, small_cfg, monkeypatch):
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        accepted = []
+
+        def mallopt(param, value):
+            accepted.append(libc.mallopt(param, value))
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda *args, **kwargs: SimpleNamespace(mallopt=mallopt))
+        assert main(["train", "--config", small_cfg, "--data", str(dataset),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+        assert accepted == [1, 1]  # mallopt returns 0 for a value it refuses
+
+    def test_runs_without_mallopt(self, tmp_path, dataset, small_cfg, trained,
+                                  monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+        out = tmp_path / "run"
+        assert main(["train", "--config", small_cfg, "--data", str(dataset),
+                     "--out", str(out), "--epochs", "2", "--lr", "0.005"]) == 0
+        assert (out / "losses.csv").read_bytes() == (trained / "losses.csv").read_bytes()
+        assert (out / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
 
     def test_zero_padded_scene_dir_loads_in_seed_order(
             self, tmp_path, dataset, padded_dataset, small_cfg):

@@ -109,6 +109,18 @@ class TestIcmForward:
         want = icm.icm_forward(features, weights, icm.make_reference_grid(4, 6, 2))
         np.testing.assert_array_equal(weights.encode(features).data, want.data)
 
+    def test_encode_builds_each_grid_once(self, monkeypatch):
+        weights = self.make(channels=3, s=2, seed=20)
+        features = ad.Tensor(SplitMix64(21).uniform_array((4, 6, 3), -1, 1))
+        first = weights.encode(features).data
+        build, built = icm.make_reference_grid, []
+        monkeypatch.setattr(icm, "make_reference_grid",
+                            lambda *args: built.append(args) or build(*args))
+        np.testing.assert_array_equal(weights.encode(features).data, first)
+        assert built == []
+        weights.encode(ad.Tensor(SplitMix64(22).uniform_array((2, 6, 3), -1, 1)))
+        assert built == [(2, 6, 2)]  # a new size builds its own grid
+
     def test_zero_corr_proj_leaves_pure_projection(self):
         weights = self.make()
         weights.corr_proj.data[...] = 0.0

@@ -1,5 +1,7 @@
 """Training loop behavior and evaluation plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from corrseg.train import (
     is_twin_scene,
     make_optimizer,
     scene_to_panoptic,
+    score_scenes,
     train_epoch,
     twins_covered,
 )
@@ -83,6 +86,26 @@ class TestTrainEpoch:
         model = smoke_model()
         with pytest.raises(ValueError):
             train_epoch(model, make_optimizer(model, lr=0.1), [])
+
+    @pytest.mark.parametrize("skip_above", [None, 0.0])
+    @pytest.mark.parametrize("scm_mode", ["axial", "global"])
+    def test_peak_memory_is_one_step(self, scm_mode, skip_above):
+        """Each step's graph is freed before the next forward, also when
+        the update is rejected, so three steps peak where one does."""
+        model = PanopticModel(ModelConfig(use_scm=True, use_icm=True, scm_mode=scm_mode),
+                              SplitMix64(2))
+        optimizer = make_optimizer(model, lr=0.01)
+        scene = smoke_scenes(1, seed=3, size=64)[0]
+        train_epoch(model, optimizer, [scene] * 2, skip_above=skip_above)  # warm-up
+        peaks = []
+        for count in (1, 3):
+            tracemalloc.start()
+            try:
+                train_epoch(model, optimizer, [scene] * count, skip_above=skip_above)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 2**10, peaks
 
 
 class TestFit:
@@ -178,6 +201,21 @@ class TestInference:
         _, rate = evaluate_scenes(smoke_model(seed=8), scenes)
         assert calls == [id(scene) for scene in scenes]
         assert rate == 0.5
+
+    def test_twin_check_runs_once_per_scene(self, monkeypatch):
+        scenes = smoke_scenes(2, seed=30) + [generate_scene(SceneConfig(
+            height=32, width=32, twin_mode=True, seed=seed)) for seed in (50, 51, 52)]
+        checked = []
+
+        def counting(scene):
+            checked.append(id(scene))
+            return is_twin_scene(scene)
+
+        monkeypatch.setattr(train_mod, "is_twin_scene", counting)
+        _, rate = score_scenes(scenes, lambda scene: (scene_to_panoptic(scene),
+                                                      truth_prediction(scene)))
+        assert checked == [id(scene) for scene in scenes]
+        assert rate == 1.0
 
 
 def truth_prediction(scene, keep=None, score=0.9, shift=0):
