@@ -9,10 +9,10 @@ Six variants share one dataset and training schedule:
     coords     instance branch gets coordinate channels + linear mix
     sinusoid   instance branch gets additive fixed sinusoidal embeddings
 
-`coords` and `sinusoid` swap in alternative positional encoders with the
-same duck type as the production instance encoder, so the rest of the
-model is untouched.  The report CSV has one row per variant with PQ
-aggregates and the training wall time.
+`coords` and `sinusoid` put alternative positional encoders in the
+instance encoder slot; both encoder slots take one duck type (``encode``,
+``parameters``), so the rest of the model is untouched.  The report CSV
+has one row per variant with PQ aggregates and the training wall time.
 """
 
 from __future__ import annotations

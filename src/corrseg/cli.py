@@ -414,7 +414,7 @@ def cmd_viz(merged: Dict[str, object]) -> int:
     with no_grad():
         features = model.backbone(scene_image(scene))
         if branch == "scm":
-            field = scm_mod.predict_params(features, model.scm_weights)
+            field = scm_mod.predict_params(features, model.semantic_encoder)
         else:
             field = icm_mod.predict_params(features, model.instance_encoder)
         hor, ver = field_profiles(field, np.arange(width), np.arange(height))

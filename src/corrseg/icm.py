@@ -26,6 +26,11 @@ from .corrfn import CorrParamField, field_profiles
 from .errors import ConfigError, ShapeError
 from .rng import SplitMix64
 
+# A forward holds (H*W, S*S) float64 correlation arrays: 2**26 entries is
+# 512 MiB each, reached by s_ref 128 on 256x256 scenes at the backbone's
+# stride of 4.
+MAX_REFERENCE_ENTRIES = 2 ** 26
+
 
 @dataclass
 class ReferenceGrid:
@@ -43,6 +48,12 @@ def make_reference_grid(height: int, width: int, s: int) -> ReferenceGrid:
     if s > 2 * min(height, width):
         raise ConfigError(
             f"s_ref={s} is too fine for a {height}x{width} map"
+        )
+    if height * width * s * s > MAX_REFERENCE_ENTRIES:
+        raise ConfigError(
+            f"s_ref={s} on a {height}x{width} map needs {height * width * s * s} "
+            f"reference correlations, above {MAX_REFERENCE_ENTRIES}; use a smaller "
+            f"s_ref or smaller scenes"
         )
     ii, jj = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
     xs = (jj.reshape(-1) + 0.5) * width / s

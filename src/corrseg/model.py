@@ -1,13 +1,14 @@
 """Toy one-stage panoptic model.
 
 A two-stage strided backbone maps an (H, W, 3) image to (H/4, W/4, C)
-features.  The semantic branch (optionally enhanced by the semantic
-correlation module) stacks four 3x3 convolutions and emits per-pixel
-class logits.  The instance branch (optionally enhanced by the instance
-correlation module or a comparator positional encoder) follows the
-dynamic-kernel grid design: a G-by-G grid of cells, each predicting
-per-class scores and a 1x1 kernel that is applied to a shared mask
-feature map.
+features.  Each branch has one encoder slot, None or an object with
+``encode(features)`` and ``parameters()``: ``semantic_encoder`` holds the
+semantic correlation module (``use_scm``), ``instance_encoder`` the
+instance correlation module (``use_icm``) or a comparator positional
+encoder.  The semantic branch then stacks four 3x3 convolutions and emits
+per-pixel class logits.  The instance branch follows the dynamic-kernel
+grid design: a G-by-G grid of cells, each predicting per-class scores
+and a 1x1 kernel that is applied to a shared mask feature map.
 
 All learned state lives in plain Tensor dataclass fields so the
 parameter dict is flat, checkpointable, and order-stable.
@@ -146,9 +147,9 @@ class PanopticModel:
         self.cate_head, self.cate_bias = _conv_block(c, cfg.k_thing, rng, k=1)
         self.cate_bias.data[...] = CATE_BIAS_INIT
         self.kernel_head, self.kernel_bias = _conv_block(c, c, rng, k=1)
-        self.scm_weights = (
-            scm_mod.ScmWeights.init(c, cfg.n_fourier, rng) if cfg.use_scm else None
-        )
+        # SCM draws from rng before the instance encoder; saved runs rely on it.
+        self.semantic_encoder = (scm_mod.ScmWeights.init(c, cfg.n_fourier, rng, cfg.scm_mode)
+                                 if cfg.use_scm else None)
         if instance_encoder is not None:
             self.instance_encoder = instance_encoder
         elif cfg.use_icm:
@@ -173,10 +174,9 @@ class PanopticModel:
         for i, (kernel, bias) in enumerate(self.mask_convs):
             params[f"mask_conv{i}"] = kernel
             params[f"mask_conv{i}_bias"] = bias
-        if self.scm_weights is not None:
-            params.update(self.scm_weights.parameters("scm"))
-        if self.instance_encoder is not None:
-            params.update(self.instance_encoder.parameters())
+        for encoder in (self.semantic_encoder, self.instance_encoder):
+            if encoder is not None:
+                params.update(encoder.parameters())
         return params
 
     # -- forward pieces ---------------------------------------------------
@@ -190,8 +190,8 @@ class PanopticModel:
 
     def semantic_logits(self, features: Tensor) -> Tensor:
         x = features
-        if self.scm_weights is not None:
-            x = scm_mod.scm_forward(x, self.scm_weights, mode=self.cfg.scm_mode)
+        if self.semantic_encoder is not None:
+            x = self.semantic_encoder.encode(x)
         for kernel, bias in self.sem_convs:
             x = ad.conv2d(x, kernel, bias, relu=True)
         return ad.conv2d(x, self.sem_out, self.sem_out_bias)

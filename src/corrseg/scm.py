@@ -23,7 +23,7 @@ Counting only the weighted feature sums, the dominant term of each mode,
 one aggregation takes exactly (HW)^2 C (global) or HW (H+W) C (axial)
 multiply-accumulates.
 
-The output is added to the input features (residual).
+``ScmWeights.encode`` adds the aggregation to the input features (residual).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ MAX_GLOBAL_LOCATIONS = 4096
 
 @dataclass
 class ScmWeights:
-    """One 3x3 trunk convolution and the two per-axis parameter heads."""
+    """A 3x3 trunk conv, two per-axis heads, and ``encode``'s aggregator key."""
 
     pre_conv: Tensor
     pre_bias: Tensor
@@ -54,9 +54,11 @@ class ScmWeights:
     hor_bias: Tensor
     ver_head: Tensor
     ver_bias: Tensor
+    mode: str = "axial"
 
     @classmethod
-    def init(cls, channels: int, n_terms: int, rng: SplitMix64) -> "ScmWeights":
+    def init(cls, channels: int, n_terms: int, rng: SplitMix64,
+             mode: str = "axial") -> "ScmWeights":
         k = 2 * n_terms + 1
         return cls(
             pre_conv=ad.init_parameter((3, 3, channels, channels), 9 * channels, rng),
@@ -65,6 +67,7 @@ class ScmWeights:
             hor_bias=ad.zeros_parameter((k,)),
             ver_head=ad.init_parameter((1, 1, channels, k), channels, rng),
             ver_bias=ad.zeros_parameter((k,)),
+            mode=mode,
         )
 
     def parameters(self, prefix: str = "scm") -> dict:
@@ -76,6 +79,10 @@ class ScmWeights:
             f"{prefix}.ver_head": self.ver_head,
             f"{prefix}.ver_bias": self.ver_bias,
         }
+
+    def encode(self, features: Tensor) -> Tensor:
+        """features + aggregate(features, predicted params)."""
+        return features + AGGREGATORS[self.mode](features, predict_params(features, self))
 
 
 def predict_params(features: Tensor, weights: ScmWeights) -> CorrParamField:
@@ -135,14 +142,3 @@ def aggregate_axial(features: Tensor, field: CorrParamField) -> Tensor:
 
 
 AGGREGATORS = {"global": aggregate_global, "axial": aggregate_axial}
-
-
-def scm_forward(features: Tensor, weights: ScmWeights, mode: str = "axial") -> Tensor:
-    """features + aggregate(features, predicted params); default axial mode."""
-    try:
-        aggregate = AGGREGATORS[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown aggregation mode {mode!r}; use one of {', '.join(AGGREGATORS)}"
-        ) from None
-    return features + aggregate(features, predict_params(features, weights))

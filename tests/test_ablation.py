@@ -43,6 +43,31 @@ class TestVariantModels:
             make_variant_model("sinusoid", ModelConfig(**SMALL), 1
                                ).instance_encoder, SinusoidEncoder)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_encoder_slots(self, variant):
+        # The semantic slot is filled exactly when use_scm is set, and the
+        # parameter dict is the base parameters, then the semantic slot's,
+        # then the instance slot's: checkpoint names and the optimizer's
+        # order both come from it.
+        cfg = ModelConfig(**SMALL)
+        model = make_variant_model(variant, cfg, 1)
+        assert (model.semantic_encoder is None) == (not model.cfg.use_scm)
+        heads = ["pre_conv", "pre_bias", "hor_head", "hor_bias", "ver_head", "ver_bias"]
+        icm = [f"icm.{name}" for name in heads + ["feat_proj", "corr_proj"]]
+        want = {"baseline": ([], []), "scm": (heads, []), "icm": ([], icm),
+                "scm_icm": (heads, icm), "coords": ([], ["coords_proj"]),
+                "sinusoid": ([], [])}[variant]
+        slots = [slot.parameters() if slot is not None else {}
+                 for slot in (model.semantic_encoder, model.instance_encoder)]
+        assert list(slots[0]) == [f"scm.{name}" for name in want[0]]
+        assert list(slots[1]) == want[1]
+        params = model.parameters()
+        base = list(make_variant_model("baseline", cfg, 1).parameters())
+        assert list(params) == base + list(slots[0]) + list(slots[1])
+        for slot in slots:
+            for name, tensor in slot.items():
+                assert params[name] is tensor
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
             make_variant_model("mystery", ModelConfig(**SMALL), 1)

@@ -523,6 +523,25 @@ class TestGlobalModeSize:
                          "--use-scm", "--scm-mode", "global", "--oracle"]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "viz"])
+def test_reference_grid_too_large_exits_2(tmp_path, capsys, command):
+    # 1024x1024 scenes give a 256x256 feature map, and s_ref 512 would need
+    # (65536, 262144) correlation arrays.  The manifest alone is refused:
+    # its one scene directory is empty and the checkpoint does not exist.
+    data = tmp_path / "data"
+    (data / "scenes" / "0").mkdir(parents=True)
+    write_keyvalue(data / "dataset.meta", [("first_seed", 0), ("count", 1),
+                                           ("height", 1024), ("width", 1024)])
+    out = tmp_path / "o"
+    rc = main([command, "--data", str(data), "--out", str(out), "--use-icm",
+               "--s-ref", "512", "--checkpoint", str(tmp_path / "missing.bin"),
+               "--branch", "icm", "--point", "0,0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: s_ref=512 on a 256x256 map needs 17179869184 reference")
+    assert not out.exists()
+
+
 class TestEval:
     def test_oracle_is_perfect(self, tmp_path, dataset):
         # Scenes without things score pq_th 0 and hold no prediction masks.

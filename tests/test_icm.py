@@ -4,7 +4,7 @@ import pytest
 from corrseg import autodiff as ad
 from corrseg import corrfn as cf
 from corrseg import icm, scm
-from corrseg.errors import ShapeError
+from corrseg.errors import ConfigError, ShapeError
 from corrseg.rng import SplitMix64
 from oracles import check_gradients, per_harmonic_profile
 
@@ -36,6 +36,14 @@ class TestReferenceGrid:
             icm.make_reference_grid(8, 8, 0)
         with pytest.raises(ValueError):
             icm.make_reference_grid(4, 4, 9)
+
+    def test_entry_bound(self):
+        # 64x64 locations times 128x128 references sits on the bound;
+        # one more row of locations is over it.
+        assert len(icm.make_reference_grid(64, 64, 128).points) == 128 * 128
+        assert 64 * 64 * 128 * 128 == icm.MAX_REFERENCE_ENTRIES
+        with pytest.raises(ConfigError, match="above 67108864"):
+            icm.make_reference_grid(65, 64, 128)
 
 
 def rand_field(h, w, n_terms, seed):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from corrseg import autodiff as ad
 from corrseg import model as model_mod
+from corrseg import scm as scm_mod
 from corrseg.autodiff import Tensor
 from corrseg.errors import ConfigError, ShapeError
 from corrseg.model import (
@@ -65,12 +66,16 @@ class TestConfig:
     def test_scene_size_checks_only_enabled_modules(self):
         # s_ref=137 is too fine for a 68x68 map and 272x272 is too large for
         # global mode, but neither module is on; the second call sits on
-        # both limits with both modules on.
+        # both limits with both modules on.  s_ref=512 on a 256x256 map
+        # needs 2**34 reference correlations and is refused before any
+        # array is built.
         check_scene_size(ModelConfig(s_ref=137, scm_mode="global"), 272, 272)
         check_scene_size(ModelConfig(use_scm=True, use_icm=True, scm_mode="global",
                                      s_ref=128), 256, 256)
         with pytest.raises(ConfigError):
             check_scene_size(ModelConfig(use_icm=True, s_ref=137), 272, 272)
+        with pytest.raises(ConfigError, match="reference correlations"):
+            check_scene_size(ModelConfig(use_icm=True, s_ref=512), 1024, 1024)
 
 
 class TestBackbone:
@@ -138,6 +143,16 @@ class TestHeads:
         names = model.parameters()
         assert any(n.startswith("scm") for n in names)
         assert any(n.startswith("icm") for n in names)
+
+    @pytest.mark.parametrize("mode", ["axial", "global"])
+    def test_semantic_encoder_aggregates_in_the_config_mode(self, mode):
+        model = PanopticModel(tiny_cfg(use_scm=True, scm_mode=mode), SplitMix64(8))
+        encoder = model.semantic_encoder
+        features = Tensor(SplitMix64(9).uniform_array((4, 4, 6), -1, 1))
+        field = scm_mod.predict_params(features, encoder)
+        want = features + scm_mod.AGGREGATORS[mode](features, field)
+        assert encoder.mode == mode
+        np.testing.assert_array_equal(encoder.encode(features).data, want.data)
 
     def test_parameter_tensors_are_distinct(self):
         model = PanopticModel(tiny_cfg(use_scm=True, use_icm=True), SplitMix64(6))

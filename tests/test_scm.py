@@ -213,25 +213,20 @@ class TestScmForward:
         weights = scm.ScmWeights.init(channels=2, n_terms=1, rng=SplitMix64(20))
         for t in weights.parameters().values():
             t.data[...] = 0.0
-        out = scm.scm_forward(ad.Tensor(np.zeros((3, 3, 2))), weights)
+        out = weights.encode(ad.Tensor(np.zeros((3, 3, 2))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     @pytest.mark.parametrize("mode", ["global", "axial"])
     def test_output_shape(self, mode):
-        weights = scm.ScmWeights.init(channels=3, n_terms=2, rng=SplitMix64(21))
+        weights = scm.ScmWeights.init(channels=3, n_terms=2, rng=SplitMix64(21), mode=mode)
         features = ad.Tensor(SplitMix64(22).uniform_array((5, 4, 3), -1, 1))
-        out = scm.scm_forward(features, weights, mode=mode)
+        out = weights.encode(features)
         assert out.shape == (5, 4, 3)
-
-    def test_unknown_mode_rejected(self):
-        weights = scm.ScmWeights.init(channels=2, n_terms=1, rng=SplitMix64(23))
-        with pytest.raises(ValueError, match="aggregation mode"):
-            scm.scm_forward(ad.Tensor(np.zeros((2, 2, 2))), weights, mode="diag")
 
     def test_channel_permutation_consistency(self):
         weights = scm.ScmWeights.init(channels=4, n_terms=1, rng=SplitMix64(24))
         features = ad.Tensor(SplitMix64(25).uniform_array((3, 4, 4), -1, 1))
-        out = scm.scm_forward(features, weights, mode="axial").data
+        out = weights.encode(features).data
 
         perm = np.array([2, 0, 3, 1])
         pw = scm.ScmWeights(
@@ -242,7 +237,7 @@ class TestScmForward:
             ver_head=ad.Tensor(weights.ver_head.data[:, :, perm, :]),
             ver_bias=weights.ver_bias,
         )
-        out_perm = scm.scm_forward(ad.Tensor(features.data[:, :, perm]), pw, mode="axial").data
+        out_perm = pw.encode(ad.Tensor(features.data[:, :, perm])).data
         np.testing.assert_allclose(out_perm, out[:, :, perm], atol=1e-9)
 
     @pytest.mark.parametrize("name", ["pre_conv", "hor_head", "ver_bias"])
@@ -252,14 +247,12 @@ class TestScmForward:
         probe = getattr(weights, name)
 
         def forward(_):
-            return ad.mul(scm.scm_forward(features, weights, mode="axial"), 0.5).sum()
+            return ad.mul(weights.encode(features), 0.5).sum()
 
         assert check_gradients(forward, probe) < 1e-4
 
     def test_gradient_wrt_features_global_mode(self):
-        weights = scm.ScmWeights.init(channels=2, n_terms=1, rng=SplitMix64(28))
+        weights = scm.ScmWeights.init(channels=2, n_terms=1, rng=SplitMix64(28), mode="global")
         features = ad.Tensor(SplitMix64(29).uniform_array((3, 3, 2), -1, 1))
-        err = check_gradients(
-            lambda t: scm.scm_forward(t, weights, mode="global").sum(), features
-        )
+        err = check_gradients(lambda t: weights.encode(t).sum(), features)
         assert err < 1e-4

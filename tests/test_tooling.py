@@ -3,7 +3,8 @@
 ``pyproject.toml`` turns Deprecation warnings into errors.  A failing
 Hypothesis test imports third-party code while it reports, and a
 deprecation warning raised there must not end the run in an
-INTERNALERROR that hides the falsifying example.
+INTERNALERROR that hides the falsifying example.  It also turns a
+ResourceWarning into an error, so a test that leaves a file open fails.
 
 README's Layout block names every module of the package.
 """
@@ -27,19 +28,39 @@ def test_always_fails(n):
     assert n < 0
 '''
 
+LEAKS_A_FILE = '''
+def test_leaks_an_open_file(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("x")
+    open(path)
+'''
 
-def test_failing_given_test_prints_its_falsifying_example(tmp_path):
-    test_file = tmp_path / "test_always_fails.py"
-    test_file.write_text(ALWAYS_FAILS, encoding="utf-8")
+
+def run_under_project_config(tmp_path, source: str):
+    """Run one test file with pyproject.toml's pytest settings."""
+    test_file = tmp_path / "test_case.py"
+    test_file.write_text(source, encoding="utf-8")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(CONFIG), "--rootdir", str(tmp_path), str(test_file)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_failing_given_test_prints_its_falsifying_example(tmp_path):
+    run = run_under_project_config(tmp_path, ALWAYS_FAILS)
     output = run.stdout + run.stderr
     assert "INTERNALERROR" not in output
     assert "Falsifying example" in output
+    assert run.returncode == 1
+
+
+def test_leaked_file_fails_the_test(tmp_path):
+    run = run_under_project_config(tmp_path, LEAKS_A_FILE)
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed" in output and "data.txt" in output
     assert run.returncode == 1
 
 
