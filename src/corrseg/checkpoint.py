@@ -209,8 +209,16 @@ def check_config(arrays: Dict[str, np.ndarray], cfg: ModelConfig, source) -> Non
 
 def load_model_state(model: PanopticModel, arrays: Dict[str, np.ndarray],
                      source="checkpoint") -> None:
+    """Load ``arrays``, which must hold exactly the model's parameters and
+    config entries, into ``model``; any other entry raises DataFormatError."""
     check_config(arrays, model.cfg, source)
-    for name, param in model.parameters().items():
+    params = model.parameters()
+    known = params.keys() | config_entries(model.cfg).keys()
+    unexpected = sorted(name for name in arrays if name not in known)
+    if unexpected:
+        raise DataFormatError(f"{source}: unexpected checkpoint entry {unexpected[0]!r}; "
+                              "the requested model has no such parameter")
+    for name, param in params.items():
         if name not in arrays:
             raise DataFormatError(f"{source}: missing parameter {name!r}")
         stored = arrays[name]

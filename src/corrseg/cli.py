@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,6 +269,18 @@ def _read_scene(path: Path, size: Tuple[int, int]) -> SyntheticScene:
     return scene
 
 
+class _Scenes:
+    """A dataset's scenes, read from disk in seed order on every pass, one
+    at a time, so a pass holds one scene whatever the dataset's size."""
+
+    def __init__(self, paths: Iterable[Path], size: Tuple[int, int]) -> None:
+        self.paths = tuple(paths)
+        self.size = size
+
+    def __iter__(self) -> Iterator[SyntheticScene]:
+        return (_read_scene(path, self.size) for path in self.paths)
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -304,8 +316,11 @@ def cmd_train(merged: Dict[str, object]) -> int:
     size, paths = _scene_dirs(Path(merged["data"]))
     cfg = _model_config(merged)
     check_scene_size(cfg, *size)
-    # Every epoch walks every scene, so they stay in memory.
-    scenes = [_read_scene(path, size) for path in paths.values()]
+    # Each epoch reads the scenes anew; this first pass checks them all,
+    # so a bad one exits 3 before <out> is written.
+    scenes = _Scenes(paths.values(), size)
+    for _ in scenes:
+        pass
     out = Path(merged["out"])
     write_resolved(merged, out)
 
@@ -358,7 +373,7 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         merged["seed"] = 0
     size, paths = _scene_dirs(Path(merged["data"]))
     # Scored one at a time, so only one scene is ever in memory.
-    scenes = (_read_scene(path, size) for path in paths.values())
+    scenes = _Scenes(paths.values(), size)
     if merged["oracle"]:
         result, rate = score_scenes(scenes, _oracle_inference)
         variant = "oracle"

@@ -396,7 +396,8 @@ def load_scene(directory) -> SyntheticScene:
                 f"0..{THING_CLASSES - 1}"
             )
         categories.append(int(raw))
-    image = load_ppm(directory / "image.ppm").astype(float) / 255.0
+    image = load_ppm(directory / "image.ppm").astype(float)
+    image /= 255.0  # in place: one float copy of the image, not two
     shape = image.shape[:2]
     semantic_path = directory / "semantic.pgm"
     semantic = _load_plane(semantic_path, shape).astype(np.int64)

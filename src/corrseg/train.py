@@ -17,7 +17,7 @@ gives the twin rate alongside PQ.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def train_epoch(
     augment_rng=None,
     skip_above: Optional[float] = None,
 ) -> float:
-    """One pass over the scenes; returns the mean loss.
+    """One pass over the scenes, iterated once; returns the mean loss.
 
     With an ``augment_rng`` each scene is independently mirrored left-right
     and top-bottom with probability 1/2, a cheap way to stretch a small
@@ -150,6 +150,7 @@ def train_epoch(
                                horizontal=augment_rng.next_double() < 0.5,
                                vertical=augment_rng.next_double() < 0.5)
         losses.append(train_step(model, optimizer, scene, skip_above))
+        del scene  # freed before the next scene is read, so the two never overlap
     if not losses:
         raise ValueError("no scenes to train on")
     return float(np.mean(losses))
@@ -157,13 +158,18 @@ def train_epoch(
 
 def fit(
     model: PanopticModel,
-    scenes: Sequence[SyntheticScene],
+    scenes: Iterable[SyntheticScene],
     epochs: int,
     lr: float,
     seed: int,
     on_epoch: Optional[Callable[[int, float], None]] = None,
 ) -> List[float]:
     """Train ``model`` for ``epochs`` passes; returns each epoch's mean loss.
+
+    ``scenes`` is iterated once per epoch, so it must be re-iterable: a
+    list, or a source that reads the same scenes in the same order on each
+    pass and so holds one scene, and its flipped copy, at a time.  A
+    one-shot iterator raises TypeError before any training.
 
     SGD starts at ``lr`` and drops by LR_DECAY_FACTOR from epoch
     ``int(epochs * LR_DECAY_POINT)`` on.  Flip augmentation draws from one
@@ -172,6 +178,9 @@ def fit(
     scenes.  ``on_epoch(epoch, mean_loss)`` runs after each epoch; a
     NumericsError propagates after the finished epochs have reached it.
     """
+    if iter(scenes) is scenes:
+        raise TypeError("fit iterates its scenes once per epoch; pass a re-iterable "
+                        "such as a list, not a one-shot iterator")
     optimizer = make_optimizer(model, lr)
     augment_rng = SplitMix64(seed + 1)
     decay_epoch = int(epochs * LR_DECAY_POINT)

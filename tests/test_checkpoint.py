@@ -340,6 +340,21 @@ class TestConfigGuard:
         with pytest.raises(DataFormatError, match="stem1"):
             load_model_state(model, state)
 
+    @pytest.mark.parametrize("extras", [["zzz.bogus"], ["icm.feat_proj"],
+                                        ["config.bogus"], ["zzz.b", "icm.a"]])
+    def test_unexpected_entry_rejected(self, extras):
+        model = small_model(seed=2)
+        state = model_state(small_model(seed=3))
+        for name in extras:
+            state[name] = np.zeros(2)
+        before = model_state(model)
+        with pytest.raises(DataFormatError,
+                           match=f"test: unexpected checkpoint entry '{min(extras)}'"):
+            load_model_state(model, state, "test")
+        # Refused before any parameter is overwritten.
+        after = model_state(model)
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+
     def test_wrong_shape_rejected(self):
         model = small_model(seed=4)
         state = model_state(model)
@@ -369,6 +384,23 @@ class TestConfigGuard:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {checkpoint}: ")
         assert "'stem1'" in err
+
+    def test_unexpected_entry_makes_eval_exit_3_and_write_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--count", "1",
+                     "--seed", "0"]) == 0
+        state = model_state(PanopticModel(ModelConfig(), SplitMix64(0)))
+        state["icm.feat_proj"] = np.zeros((16, 16))
+        checkpoint = tmp_path / "extra.bin"
+        save_checkpoint(checkpoint, state)
+        out = tmp_path / "ev"
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: unexpected checkpoint entry 'icm.feat_proj'; "
+            "the requested model has no such parameter\n")
+        assert not out.exists()
 
     def test_stored_config_is_the_model_fields_and_class_counts(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -435,10 +435,60 @@ class TestTrain:
         fields = parse_keyvalue(meta.read_text())
         fields["categories"] = "7"
         meta.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        out = tmp_path / "run"
         rc = main(["train", "--config", small_cfg, "--data", str(data),
-                   "--out", str(tmp_path / "run"), "--epochs", "1"])
+                   "--out", str(out), "--epochs", "1"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {meta}: ")
+        assert not out.exists()
+
+    def test_scene_changed_after_the_check_fails_its_epoch(
+            self, tmp_path, dataset, trained, small_cfg, capsys, monkeypatch):
+        import corrseg.cli as cli_mod
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        image = scene_dir(data, 10) / "image.ppm"
+        save = cli_mod.save_checkpoint
+
+        def save_then_corrupt(path, arrays):
+            save(path, arrays)
+            image.write_bytes(image.read_bytes()[:-1])
+
+        monkeypatch.setattr(cli_mod, "save_checkpoint", save_then_corrupt)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", small_cfg, "--data", str(data),
+                   "--out", str(out), "--epochs", "3", "--lr", "0.005"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {image}: ")
+        # Epoch 0 finished before the scene changed: its record and
+        # checkpoint stay.  It trains as epoch 0 of any run at this lr.
+        lines = (out / "losses.csv").read_text().splitlines()
+        assert lines == (trained / "losses.csv").read_text().splitlines()[:2]
+        model = PanopticModel(ModelConfig(channels=4, n_fourier=2, s_ref=2, grid_size=2),
+                              SplitMix64(0))
+        load_model_state(model, load_checkpoint(out / "checkpoint.bin"))
+
+    def test_peak_memory_is_flat_in_scene_count(self, tmp_path, small_cfg):
+        """train holds one scene at a time, so its peak is the same on 3 and
+        on 24 scenes."""
+        size = ["--height", "64", "--width", "64"]
+        data = {}
+        for count in (3, 24):
+            data[count] = tmp_path / f"data{count}"
+            assert main(["gen", "--config", small_cfg, *size, "--out", str(data[count]),
+                         "--count", str(count), "--seed", "0"]) == 0
+        peaks = []
+        for count in (3, 3, 24):  # the first run warms up
+            tracemalloc.start()
+            try:
+                assert main(["train", "--config", small_cfg, *size, "--epochs", "1",
+                             "--data", str(data[count]),
+                             "--out", str(tmp_path / f"run{len(peaks)}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 0.5 * 2**20, peaks
 
     def test_repeated_config_key_exits_3(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "c.cfg"
@@ -688,18 +738,19 @@ class TestEval:
                     tracemalloc.stop()
             assert abs(peaks[2] - peaks[1]) < 0.5 * 2**20, (source, peaks)
 
-    @pytest.mark.parametrize("source", ["oracle", "checkpoint"])
+    @pytest.mark.parametrize("source", ["oracle", "checkpoint", "train"])
     def test_corrupt_last_scene_exits_3_and_writes_nothing(
             self, tmp_path, dataset, trained, small_cfg, capsys, source):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
         image = scene_dir(data, 10) / "image.ppm"
         image.write_bytes(image.read_bytes()[:-1])
-        flags = {"oracle": ["--oracle"],
-                 "checkpoint": ["--checkpoint", str(trained / "checkpoint.bin")]}[source]
+        command = {"oracle": ["eval", "--oracle"],
+                   "checkpoint": ["eval", "--checkpoint", str(trained / "checkpoint.bin")],
+                   "train": ["train", "--epochs", "1"]}[source]
         out = tmp_path / "ev"
-        assert main(["eval", "--config", small_cfg, "--data", str(data),
-                     "--out", str(out), *flags]) == 3
+        assert main([*command, "--config", small_cfg, "--data", str(data),
+                     "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {image}: ")
         assert not out.exists()
 

@@ -163,6 +163,12 @@ class TestFit:
                 on_epoch=lambda epoch, loss: seen.append(loss))
         assert seen == [3.0, 2.0]
 
+    def test_one_shot_iterator_refused_before_training(self, monkeypatch):
+        calls = self.scripted_epochs(monkeypatch, [3.0, 2.0])
+        with pytest.raises(TypeError, match="re-iterable"):
+            fit(smoke_model(), iter(smoke_scenes(1)), epochs=2, lr=0.1, seed=0)
+        assert calls == []
+
 
 class TestInference:
     def test_infer_panoptic_shapes(self):
