@@ -1,18 +1,10 @@
 """Variant sweep over instance/semantic enhancement choices.
 
-Six variants share one dataset and training schedule:
-
-    baseline   no enhancement on either branch
-    scm        semantic branch enhanced
-    icm        instance branch enhanced
-    scm_icm    both branches enhanced
-    coords     instance branch gets coordinate channels + linear mix
-    sinusoid   instance branch gets additive fixed sinusoidal embeddings
-
-`coords` and `sinusoid` put alternative positional encoders in the
-instance encoder slot; both encoder slots take one duck type (``encode``,
-``parameters``), so the rest of the model is untouched.  The report CSV
-has one row per variant with PQ aggregates and the training wall time.
+Each variant is one row of ``VARIANTS``; all share one dataset and training
+schedule.  The comparison rows put other positional encoders in the instance
+encoder slot; both slots take one duck type (``encode``, ``parameters``), so
+the rest of the model is untouched.  The report CSV has one row per variant
+with PQ aggregates and the training wall time.
 """
 
 from __future__ import annotations
@@ -34,8 +26,6 @@ from .model import ModelConfig, PanopticModel, check_scene_size
 from .rng import SplitMix64
 from .synth import SceneConfig, SyntheticScene, generate_scene
 from .train import evaluate_scenes, fit, is_twin_scene
-
-VARIANTS = ("baseline", "scm", "icm", "scm_icm", "coords", "sinusoid")
 
 TRAIN_FRACTION = 0.8  # of the scenes, in order; the rest are held out
 
@@ -101,18 +91,29 @@ class SinusoidEncoder:
         return {}
 
 
+# name: (use_scm, use_icm, instance-slot comparator: None or f(cfg, rng) -> encoder).
+# A comparator draws from rng before the model's own weights do.
+VARIANTS = {
+    "baseline": (False, False, None),  # no enhancement on either branch
+    "scm": (True, False, None),  # semantic branch enhanced
+    "icm": (False, True, None),  # instance branch enhanced
+    "scm_icm": (True, True, None),  # both branches enhanced
+    # coordinate channels + linear mix
+    "coords": (False, False, lambda cfg, rng: CoordsEncoder(cfg.channels, rng)),
+    # additive fixed sinusoidal embeddings
+    "sinusoid": (False, False, lambda cfg, rng: SinusoidEncoder(cfg.channels)),
+}
+
+
 def variant_config(variant: str, base_cfg: ModelConfig) -> ModelConfig:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return replace(
-        base_cfg,
-        use_scm=variant in ("scm", "scm_icm"),
-        use_icm=variant in ("icm", "scm_icm"),
-    )
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
+    use_scm, use_icm, _ = VARIANTS[variant]
+    return replace(base_cfg, use_scm=use_scm, use_icm=use_icm)
 
 
 def check_variants_fit(base_cfg: ModelConfig, sizes: Iterable[Tuple[int, int]],
-                       variants: Sequence[str] = VARIANTS) -> None:
+                       variants: Sequence[str] = tuple(VARIANTS)) -> None:
     """Raise ConfigError unless every variant's config fits every scene size."""
     for height, width in sizes:
         for variant in variants:
@@ -124,11 +125,8 @@ def make_variant_model(
 ) -> PanopticModel:
     cfg = variant_config(variant, base_cfg)
     rng = SplitMix64(seed)
-    encoder = None
-    if variant == "coords":
-        encoder = CoordsEncoder(cfg.channels, rng)
-    elif variant == "sinusoid":
-        encoder = SinusoidEncoder(cfg.channels)
+    comparator = VARIANTS[variant][2]
+    encoder = comparator(cfg, rng) if comparator is not None else None
     return PanopticModel(cfg, rng, instance_encoder=encoder)
 
 
@@ -170,7 +168,7 @@ def run_ablation(
     lr: float,
     seed: int = 0,
     out_path=None,
-    variants: Sequence[str] = VARIANTS,
+    variants: Sequence[str] = tuple(VARIANTS),
 ) -> List[Dict[str, object]]:
     """Train and evaluate each variant; returns one result dict per row.
 

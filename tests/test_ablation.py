@@ -1,5 +1,6 @@
 """Variant construction, comparison encoders, and the sweep report."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from corrseg.ablation import (
 )
 from corrseg.autodiff import Tensor
 from corrseg.errors import ConfigError
+from corrseg.icm import IcmWeights
 from corrseg.losses import total_loss
 from corrseg.model import ModelConfig
 from corrseg.rng import SplitMix64
@@ -26,22 +28,59 @@ from corrseg.synth import SceneConfig
 SMALL = dict(channels=4, n_fourier=2, s_ref=2, grid_size=2)
 
 
-class TestVariantModels:
-    def test_every_variant_builds(self):
-        for variant in VARIANTS:
-            model = make_variant_model(variant, ModelConfig(**SMALL), seed=1)
-            assert model.cfg.use_scm == (variant in ("scm", "scm_icm"))
-            assert model.cfg.use_icm == (variant in ("icm", "scm_icm"))
+HEADS = ["pre_conv", "pre_bias", "hor_head", "hor_bias", "ver_head", "ver_bias"]
+SCM_PARAMS = [f"scm.{name}" for name in HEADS]
+ICM_PARAMS = [f"icm.{name}" for name in HEADS + ["feat_proj", "corr_proj"]]
 
-    def test_encoder_kinds(self):
-        assert make_variant_model("baseline", ModelConfig(**SMALL), 1
-                                  ).instance_encoder is None
-        assert isinstance(
-            make_variant_model("coords", ModelConfig(**SMALL), 1
-                               ).instance_encoder, CoordsEncoder)
-        assert isinstance(
-            make_variant_model("sinusoid", ModelConfig(**SMALL), 1
-                               ).instance_encoder, SinusoidEncoder)
+# variant: (use_scm, use_icm, instance-slot type, semantic-slot parameter
+# names, instance-slot parameter names)
+ROWS = {
+    "baseline": (False, False, type(None), [], []),
+    "scm": (True, False, type(None), SCM_PARAMS, []),
+    "icm": (False, True, IcmWeights, [], ICM_PARAMS),
+    "scm_icm": (True, True, IcmWeights, SCM_PARAMS, ICM_PARAMS),
+    "coords": (False, False, CoordsEncoder, [], ["coords_proj"]),
+    "sinusoid": (False, False, SinusoidEncoder, [], []),
+}
+
+# sha256 over each (name, bytes) of make_variant_model(variant, cfg, 1)
+# .parameters(), at SMALL and at ModelConfig().  Each row must keep drawing
+# its weights from the seed's stream in the same order: checkpoints and the
+# pinned runs depend on it.
+PARAM_DIGESTS = {
+    "baseline": ("19d77217c8a7adfa420f1261026232bc9962e5ea06988132d352b7c8a71ae99e",
+                 "4473a83a8a23fae7401b33626a9bbb6e8b15dcf12a2ff02c264d517d2080329e"),
+    "scm": ("d7a9486e9eb82624eccfd580042559a19b990e513b08286c2cde10aa99ca0cba",
+            "06e37f5e13f7bd29a6ff2cbe6d38175cc696f5ebe91438e221469285034f89d5"),
+    "icm": ("266d25bce2b4b5a50b87df2193279c136b20042f824e14cf806430fa267394ef",
+            "dde04a9902cde68dba0322fa499c114b85fe425f74f6ffdfa43a1d4ce0cddec6"),
+    "scm_icm": ("1357ad0e88b2cb900c0b1e0395ce664d7c1bf5315016bbf1023e703831c6353f",
+                "185b086ce624013348cc65b3b15cda7faba367be7dee7f806636dbf78f74cc2b"),
+    "coords": ("acb711c5230546d09677c79e2b6273bbc231be450ed351ca9dd377182d2daf57",
+               "ca18955d51ba63440402877dc41a3003e4f26db88edefb76fa6e73393ab43585"),
+    "sinusoid": ("19d77217c8a7adfa420f1261026232bc9962e5ea06988132d352b7c8a71ae99e",
+                 "4473a83a8a23fae7401b33626a9bbb6e8b15dcf12a2ff02c264d517d2080329e"),
+}
+
+# Op nodes per training step; see test_step_graph_node_count.
+STEP_NODES = {"baseline": 32, "scm": 44, "icm": 41, "scm_icm": 53, "coords": 34,
+              "sinusoid": 33}
+
+
+def _param_digest(model) -> str:
+    digest = hashlib.sha256()
+    for name, tensor in model.parameters().items():
+        digest.update(name.encode())
+        digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
+class TestVariantModels:
+    @pytest.mark.parametrize("table", [ROWS, PARAM_DIGESTS, STEP_NODES],
+                             ids=["rows", "digests", "step_nodes"])
+    def test_every_expectation_names_exactly_the_table_rows(self, table):
+        # A new row must state its flags, slots, digests and node count.
+        assert list(table) == list(VARIANTS)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_encoder_slots(self, variant):
@@ -49,24 +88,31 @@ class TestVariantModels:
         # parameter dict is the base parameters, then the semantic slot's,
         # then the instance slot's: checkpoint names and the optimizer's
         # order both come from it.
+        use_scm, use_icm, slot_type, sem_names, inst_names = ROWS[variant]
         cfg = ModelConfig(**SMALL)
         model = make_variant_model(variant, cfg, 1)
+        assert model.cfg.use_scm == use_scm
+        assert model.cfg.use_icm == use_icm
+        assert type(model.instance_encoder) is slot_type
         assert (model.semantic_encoder is None) == (not model.cfg.use_scm)
-        heads = ["pre_conv", "pre_bias", "hor_head", "hor_bias", "ver_head", "ver_bias"]
-        icm = [f"icm.{name}" for name in heads + ["feat_proj", "corr_proj"]]
-        want = {"baseline": ([], []), "scm": (heads, []), "icm": ([], icm),
-                "scm_icm": (heads, icm), "coords": ([], ["coords_proj"]),
-                "sinusoid": ([], [])}[variant]
         slots = [slot.parameters() if slot is not None else {}
                  for slot in (model.semantic_encoder, model.instance_encoder)]
-        assert list(slots[0]) == [f"scm.{name}" for name in want[0]]
-        assert list(slots[1]) == want[1]
+        assert list(slots[0]) == sem_names
+        assert list(slots[1]) == inst_names
         params = model.parameters()
         base = list(make_variant_model("baseline", cfg, 1).parameters())
         assert list(params) == base + list(slots[0]) + list(slots[1])
         for slot in slots:
             for name, tensor in slot.items():
                 assert params[name] is tensor
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_parameters_pinned_bit_for_bit(self, variant):
+        # A comparator that drew after PanopticModel's own weights, or a
+        # module drawing in another order, changes these digests.
+        got = tuple(_param_digest(make_variant_model(variant, cfg, 1))
+                    for cfg in (ModelConfig(**SMALL), ModelConfig()))
+        assert got == PARAM_DIGESTS[variant]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -77,23 +123,14 @@ class TestVariantModels:
         make_variant_model("scm_icm", base, 1)
         assert not base.use_scm and not base.use_icm
 
-    def test_baseline_step_graph_stays_small(self):
+    @pytest.mark.parametrize("variant, nodes", STEP_NODES.items())
+    def test_step_graph_node_count(self, variant, nodes):
         # One default-config training step on an `ablate`-sized scene.
         # Each loss term and each conv layer (conv, bias and ReLU) is one
-        # node, so the step builds 32 op nodes; per-node overhead, not
-        # arithmetic, sets the step time at this size.
-        scene = make_twin_dataset(1, 1000)[0]
-        model = make_variant_model("baseline", ModelConfig(), 0)
-        loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
-        ops = [node for node in loss._topo_order() if node._grad_fn is not None]
-        assert len(ops) == 32
-
-    @pytest.mark.parametrize("variant, nodes", [
-        ("scm", 44), ("icm", 41), ("scm_icm", 53),
-        ("coords", 34), ("sinusoid", 33)])
-    def test_step_graph_node_count(self, variant, nodes):
-        # Each correlation profile and each SCM/ICM head conv (bias
-        # included) is one node.
+        # node, so the baseline step builds 32 op nodes; per-node overhead,
+        # not arithmetic, sets the step time at this size.  Each
+        # correlation profile and each SCM/ICM head conv (bias included)
+        # is one node.
         scene = make_twin_dataset(1, 1000)[0]
         model = make_variant_model(variant, ModelConfig(), 0)
         loss = total_loss(model.forward(Tensor(scene.image)), scene, model.cfg)
@@ -233,6 +270,15 @@ class TestRunAblation:
         with pytest.raises(ConfigError, match="global-mode SCM"):
             run_ablation(scenes, ModelConfig(scm_mode="global", **SMALL), epochs=1,
                          lr=0.001)
+
+    def test_unknown_variant_fails_before_training(self, monkeypatch, tmp_path):
+        scenes = make_twin_dataset(3, seed=60)
+        monkeypatch.setattr(ablation, "fit", None)  # any training call would fail
+        out = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match="unknown variant 'mystery'"):
+            run_ablation(scenes, ModelConfig(**SMALL), epochs=1, lr=0.001,
+                         out_path=out, variants=("baseline", "mystery"))
+        assert not out.exists()
 
     def test_subset_of_variants(self, tmp_path):
         scenes = make_twin_dataset(3, seed=60)
