@@ -297,21 +297,12 @@ def take(a: Tensor, key) -> Tensor:
     """``a[key]`` for any numpy key: slices, integers or integer arrays.
 
     The gradient scatter-adds back, so an entry picked more than once
-    by an integer-array key receives the sum of its gradients.  A basic
-    key (integers, slices, Ellipsis) picks each entry at most once, so
-    its gradient is one in-place add into the view.
+    by an integer-array key receives the sum of its gradients.
     """
-    parts = key if isinstance(key, tuple) else (key,)
-    basic = all(k is Ellipsis or isinstance(k, slice)
-                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-                for k in parts)
 
     def grad_fn(g):
         full = np.zeros_like(a.data)
-        if basic:
-            full[key] += g
-        else:
-            np.add.at(full, key, g)
+        np.add.at(full, key, g)
         a._accum(full, owned=True)
 
     return make_node(a.data[key], (a,), grad_fn)

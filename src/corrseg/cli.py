@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,16 +46,12 @@ from .model import STRIDE, InstancePrediction, ModelConfig, PanopticModel, check
 from .postprocess import PanopticSegmentation
 from .rng import SplitMix64
 from .synth import (
-    MAX_SIDE,
-    MIN_SIDE,
+    Dataset,
     SceneConfig,
     SyntheticScene,
-    generate_scene,
-    load_scene,
     parse_keyvalue,
+    save_dataset,
     save_pgm,
-    save_scene,
-    scene_dir,
     write_keyvalue,
 )
 from .train import evaluate_scenes, fit, scene_image, scene_to_panoptic, score_scenes
@@ -213,94 +209,16 @@ def _scene_config(merged: Dict[str, object], seed: int) -> SceneConfig:
     return SceneConfig(**{key: merged[key] for key in _SCENE_DEFAULTS}, seed=seed)
 
 
-def _numbered_dirs(scenes_root: Path) -> List[Tuple[int, Path]]:
-    """(seed, directory) of every directory under scenes_root named by an
-    integer (names may be zero-padded), in name order."""
-    found = []
-    for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
-        try:
-            found.append((int(child.name), child))
-        except ValueError:
-            continue
-    return found
-
-
-def _scene_dirs(root: Path) -> Tuple[Tuple[int, int], Dict[int, Path]]:
-    """The (height, width) of root's scenes and the directory of every
-    scene, by seed, as root's dataset.meta lists them.  The numbered
-    directories (names may be zero-padded) must be exactly the listed
-    seeds, each once."""
-    manifest = root / "dataset.meta"
-    try:
-        meta = parse_keyvalue(manifest.read_text(encoding="utf-8"), str(manifest))
-        first, count = int(meta["first_seed"]), int(meta["count"])
-        size = int(meta["height"]), int(meta["width"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise DataFormatError(
-            f"{manifest}: missing or malformed dataset manifest ({exc})") from None
-    if not all(MIN_SIDE <= side <= MAX_SIDE for side in size):
-        raise DataFormatError(f"{manifest}: scene size {size[0]}x{size[1]} is outside "
-                              f"[{MIN_SIDE}, {MAX_SIDE}]")
-    scenes_root = root / "scenes"
-    if not scenes_root.is_dir():
-        raise DataFormatError(f"{scenes_root}: no scenes directory")
-    listed = range(first, first + count)
-    found: Dict[int, Path] = {}
-    for seed, child in _numbered_dirs(scenes_root):
-        if seed not in listed:
-            raise DataFormatError(f"{child}: scene {seed} is not listed in {manifest}")
-        if seed in found:
-            raise DataFormatError(f"{child}: scene {seed} is also at {found[seed]}")
-        found[seed] = child
-    if len(found) < count:
-        missing = next(seed for seed in listed if seed not in found)
-        raise DataFormatError(f"{scenes_root}: scene {missing} listed in {manifest} is missing")
-    if not found:
-        raise DataFormatError(f"{scenes_root}: dataset is empty")
-    return size, dict(sorted(found.items()))
-
-
-def _read_scene(path: Path, size: Tuple[int, int]) -> SyntheticScene:
-    """The scene saved at path, which must be of its manifest's size."""
-    scene = load_scene(path)
-    if (scene.height, scene.width) != size:
-        raise DataFormatError(f"{path}: scene is {scene.height}x{scene.width}, but "
-                              f"dataset.meta gives {size[0]}x{size[1]}")
-    return scene
-
-
-class _Scenes:
-    """A dataset's scenes, read from disk in seed order on every pass, one
-    at a time, so a pass holds one scene whatever the dataset's size."""
-
-    def __init__(self, paths: Iterable[Path], size: Tuple[int, int]) -> None:
-        self.paths = tuple(paths)
-        self.size = size
-
-    def __iter__(self) -> Iterator[SyntheticScene]:
-        return (_read_scene(path, self.size) for path in self.paths)
-
-
 # -- commands -------------------------------------------------------------
 
 
 def cmd_gen(merged: Dict[str, object]) -> int:
-    count, seed = merged["count"], merged["seed"]
     out = Path(merged["out"])
     if out.exists() and any(out.iterdir()) and not merged["force"]:
         raise ConfigError(f"{out} is not empty (pass --force to write anyway)")
-    if (out / "scenes").is_dir():
-        for old, path in _numbered_dirs(out / "scenes"):
-            if old not in range(seed, seed + count):
-                raise ConfigError(f"{path}: scene {old} is not among the {count} scenes "
-                                  f"from seed {seed} that gen writes; remove it first")
+    save_dataset(out, _scene_config(merged, seed=merged["seed"]), merged["count"])
     write_resolved(merged, out)
-    for s in range(seed, seed + count):
-        scene = generate_scene(_scene_config(merged, seed=s))
-        save_scene(scene, scene_dir(out, s))
-    write_keyvalue(out / "dataset.meta", [("count", count), ("first_seed", seed)]
-                   + [(key, merged[key]) for key in _SCENE_DEFAULTS])
-    print(f"wrote {count} scenes under {out}")
+    print(f"wrote {merged['count']} scenes under {out}")
     return 0
 
 
@@ -313,12 +231,11 @@ def _write_series(path: Path, index: str, name: str, values: Sequence[float]) ->
 def cmd_train(merged: Dict[str, object]) -> int:
     if merged["seed"] is None:
         merged["seed"] = 0
-    size, paths = _scene_dirs(Path(merged["data"]))
+    scenes = Dataset(merged["data"])
     cfg = _model_config(merged)
-    check_scene_size(cfg, *size)
+    check_scene_size(cfg, *scenes.size)
     # Each epoch reads the scenes anew; this first pass checks them all,
     # so a bad one exits 3 before <out> is written.
-    scenes = _Scenes(paths.values(), size)
     for _ in scenes:
         pass
     out = Path(merged["out"])
@@ -371,15 +288,14 @@ def cmd_eval(merged: Dict[str, object]) -> int:
         raise ConfigError("eval takes exactly one of --checkpoint and --oracle")
     if merged["seed"] is None:
         merged["seed"] = 0
-    size, paths = _scene_dirs(Path(merged["data"]))
     # Scored one at a time, so only one scene is ever in memory.
-    scenes = _Scenes(paths.values(), size)
+    scenes = Dataset(merged["data"])
     if merged["oracle"]:
         result, rate = score_scenes(scenes, _oracle_inference)
         variant = "oracle"
     else:
         cfg = _model_config(merged)
-        check_scene_size(cfg, *size)
+        check_scene_size(cfg, *scenes.size)
         result, rate = evaluate_scenes(_load_model(merged, cfg), scenes)
         variant = "model"
     # Written only now, so that a scene refused mid-stream leaves no <out>.
@@ -407,15 +323,12 @@ def _parse_point(raw: str) -> tuple:
 def cmd_viz(merged: Dict[str, object]) -> int:
     branch = merged["branch"]
     x, y = _parse_point(merged["point"])
-    data = Path(merged["data"])
-    size, paths = _scene_dirs(data)
+    dataset = Dataset(merged["data"])
     if merged["seed"] is None:
-        merged["seed"] = min(paths)
-    if merged["seed"] not in paths:
-        raise DataFormatError(f"{data / 'dataset.meta'}: lists no scene {merged['seed']}")
+        merged["seed"] = min(dataset.paths)
     cfg = _model_config(merged)
-    check_scene_size(cfg, *size)
-    scene = _read_scene(paths[merged["seed"]], size)
+    check_scene_size(cfg, *dataset.size)
+    scene = dataset.scene(merged["seed"])
     if not (cfg.use_scm if branch == "scm" else cfg.use_icm):
         raise ConfigError(f"use_{branch}=0: the model has no {branch} branch to visualize")
     height, width = scene.height // STRIDE, scene.width // STRIDE

@@ -10,9 +10,11 @@ config seed via the documented counter-based generator in rng.py.
 
 Categories: things are 0..2, stuff 3..5.
 
-On disk a scene is a directory of binary netpbm files plus a `key=value`
-manifest:
+On disk a dataset is a `key=value` manifest plus one directory of binary
+netpbm files and a `key=value` manifest per scene, named by the scene's
+seed: an optional ``-`` and ASCII digits, which may be zero-padded.
 
+    dataset.meta                 count, first_seed, SceneConfig's fields but seed
     scenes/<seed>/image.ppm      P6, maxval 255
     scenes/<seed>/semantic.pgm   P5, category ids as gray values
     scenes/<seed>/inst_<k>.pgm   P5, 0 or 255
@@ -21,9 +23,9 @@ manifest:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -412,3 +414,87 @@ def load_scene(directory) -> SyntheticScene:
         for k, category in enumerate(categories)
     ]
     return SyntheticScene(image=image, semantic=semantic, instances=instances, meta=meta)
+
+
+# -- the dataset on disk -----------------------------------------------------
+
+
+def _numbered_dirs(scenes_root: Path) -> List[Tuple[int, Path]]:
+    """(seed, directory) of every directory under scenes_root that a seed
+    names, in name order."""
+    found = []
+    for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
+        digits = child.name[1:] if child.name.startswith("-") else child.name
+        if digits.isascii() and digits.isdigit():
+            found.append((int(child.name), child))
+    return found
+
+
+def save_dataset(root, cfg: SceneConfig, count: int) -> None:
+    """Write the scenes of seeds cfg.seed .. cfg.seed + count - 1 and their
+    dataset.meta under root.  A numbered scene directory there outside those
+    seeds is refused before anything is written."""
+    root, seeds = Path(root), range(cfg.seed, cfg.seed + count)
+    if (root / "scenes").is_dir():
+        for old, path in _numbered_dirs(root / "scenes"):
+            if old not in seeds:
+                raise ConfigError(f"{path}: scene {old} is not among the {count} scenes "
+                                  f"from seed {cfg.seed} that gen writes; remove it first")
+    root.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:
+        save_scene(generate_scene(replace(cfg, seed=seed)), scene_dir(root, seed))
+    write_keyvalue(root / "dataset.meta", [("count", count), ("first_seed", cfg.seed)]
+                   + [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "seed"])
+
+
+class Dataset:
+    """The dataset under root: ``size`` is its scenes' (height, width) and
+    ``paths`` each listed seed's directory, in seed order.  Opening it checks
+    that the directories are exactly the listed seeds, each once.  A pass
+    reads the scenes in seed order, one at a time, so it holds one scene
+    whatever the dataset's size."""
+
+    def __init__(self, root) -> None:
+        root = Path(root)
+        self.manifest = root / "dataset.meta"
+        try:
+            meta = parse_keyvalue(self.manifest.read_text(encoding="utf-8"), str(self.manifest))
+            first, count = int(meta["first_seed"]), int(meta["count"])
+            self.size = int(meta["height"]), int(meta["width"])
+        except (OSError, KeyError, ValueError) as exc:
+            raise DataFormatError(
+                f"{self.manifest}: missing or malformed dataset manifest ({exc})") from None
+        if not all(MIN_SIDE <= side <= MAX_SIDE for side in self.size):
+            raise DataFormatError(f"{self.manifest}: scene size {self.size[0]}x{self.size[1]} "
+                                  f"is outside [{MIN_SIDE}, {MAX_SIDE}]")
+        scenes_root = root / "scenes"
+        if not scenes_root.is_dir():
+            raise DataFormatError(f"{scenes_root}: no scenes directory")
+        listed = range(first, first + count)
+        found: Dict[int, Path] = {}
+        for seed, child in _numbered_dirs(scenes_root):
+            if seed not in listed:
+                raise DataFormatError(f"{child}: scene {seed} is not listed in {self.manifest}")
+            if seed in found:
+                raise DataFormatError(f"{child}: scene {seed} is also at {found[seed]}")
+            found[seed] = child
+        if len(found) < count:
+            missing = next(seed for seed in listed if seed not in found)
+            raise DataFormatError(
+                f"{scenes_root}: scene {missing} listed in {self.manifest} is missing")
+        if not found:
+            raise DataFormatError(f"{scenes_root}: dataset is empty")
+        self.paths = dict(sorted(found.items()))
+
+    def scene(self, seed: int) -> SyntheticScene:
+        """The scene of a listed seed, which must be of the manifest's size."""
+        if seed not in self.paths:
+            raise DataFormatError(f"{self.manifest}: lists no scene {seed}")
+        scene = load_scene(self.paths[seed])
+        if (scene.height, scene.width) != self.size:
+            raise DataFormatError(f"{self.paths[seed]}: scene is {scene.height}x{scene.width}, "
+                                  f"but dataset.meta gives {self.size[0]}x{self.size[1]}")
+        return scene
+
+    def __iter__(self) -> Iterator[SyntheticScene]:
+        return (self.scene(seed) for seed in self.paths)

@@ -857,6 +857,31 @@ class TestDatasetManifest:
                                            "but dataset.meta gives 32x32\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["1_000", "+1000", " 1000", "\u0661\u0660\u0660\u0660"])
+    def test_scene_dir_not_named_by_ascii_digits_exits_3(self, tmp_path, small_cfg, capsys,
+                                                           name):
+        """int() reads each of these names as 1000, but none is a seed's name."""
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_cfg, "--out", str(data),
+                     "--count", "1", "--seed", "1000"]) == 0
+        (data / "scenes" / "1000").rename(data / "scenes" / name)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert self.run("eval --oracle", data, out, small_cfg) == 3
+        assert capsys.readouterr().err == (f"error: {data / 'scenes'}: scene 1000 listed in "
+                                           f"{data / 'dataset.meta'} is missing\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, name", [(1000, "01000"), (-3, "-3"), (-3, "-003")])
+    def test_scene_dir_named_by_its_seed_loads(self, tmp_path, small_cfg, seed, name):
+        data = tmp_path / "data"
+        assert main(["gen", "--config", small_cfg, "--out", str(data),
+                     "--count", "1", "--seed", str(seed)]) == 0
+        (data / "scenes" / str(seed)).rename(data / "scenes" / name)
+        out = tmp_path / "run"
+        assert self.run("eval --oracle", data, out, small_cfg) == 0
+        assert read_report(out)[0]["pq"] == "1.0000"
+
     @pytest.mark.parametrize("make_dir, message", [(False, "no scenes directory"),
                                                    (True, "dataset is empty")])
     def test_empty_dataset_exits_3(self, tmp_path, small_cfg, capsys, make_dir, message):

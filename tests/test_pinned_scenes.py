@@ -1,12 +1,14 @@
-"""The bytes `gen` writes under scenes/ are pinned across versions.
+"""The bytes `gen` writes under scenes/, and its dataset.meta, are pinned
+across versions.
 
 Scenes are a pure function of their config and seed, and every stored
 result (losses, checkpoints, reports) starts from them, so a change to
-the generator, the netpbm writer or the manifest shows here first.
+the generator, the netpbm writer or the manifests shows here first.
 Each run generates two scenes (seeds 5 and 6), plain or twin, at a
 square and a non-square size.  The pin is the first 16 hex digits of
-each file's sha256, listed like ``sha256sum`` output.  A change that
-moves scene bytes on purpose re-records them and says why.
+each file's sha256, listed like ``sha256sum`` output: the files under
+scenes/, then dataset.meta.  A change that moves these bytes on purpose
+re-records them and says why.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ b99c1b9bc1067b00  5/semantic.pgm
 50c6827b28bc2dac  6/inst_2.pgm
 2c73821d4b65474d  6/scene.meta
 981161ad10a82c00  6/semantic.pgm
+38cde36e74a64639  dataset.meta
 """),
     "twin_32x32": ("height=32\nwidth=32\ntwin_mode=1\n", """\
 285c545b6333d204  5/image.ppm
@@ -45,6 +48,7 @@ fdea27932ace0abf  6/inst_0.pgm
 dce0b24a4e56aafa  6/inst_2.pgm
 73b265c047db568b  6/scene.meta
 4f5fbab6ea634782  6/semantic.pgm
+a9f734837a2e2e96  dataset.meta
 """),
     "plain_64x48": ("height=64\nwidth=48\n", """\
 c3b6ab0c3a4c3e28  5/image.ppm
@@ -60,6 +64,7 @@ ec068b9b0b690208  6/inst_1.pgm
 66f5ffb31ea85294  6/inst_2.pgm
 a57d94276057fcda  6/scene.meta
 5f0da0e007cbd2b4  6/semantic.pgm
+0dbde0fbca681365  dataset.meta
 """),
     "twin_64x48": ("height=64\nwidth=48\ntwin_mode=1\n", """\
 43b9ff7b548fe378  5/image.ppm
@@ -75,16 +80,18 @@ c893e4cd8a30bddd  6/inst_1.pgm
 cc55665d2dd57639  6/inst_2.pgm
 552adf4638c1561b  6/scene.meta
 3d55de3b68ea64de  6/semantic.pgm
+ef83c3feff567fc3  dataset.meta
 """),
 }
 
 
+def _line(path, name):
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()[:16]}  {name}\n"
+
+
 def _listing(root):
-    return "".join(
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()[:16]}  "
-        f"{path.relative_to(root).as_posix()}\n"
-        for path in sorted(root.rglob("*")) if path.is_file()
-    )
+    return "".join(_line(path, path.relative_to(root).as_posix())
+                   for path in sorted(root.rglob("*")) if path.is_file())
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -95,4 +102,4 @@ def test_scene_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "data"
     assert main(["gen", "--config", str(cfg), "--out", str(out),
                  "--count", "2", "--seed", "5"]) == 0
-    assert _listing(out / "scenes") == pinned
+    assert _listing(out / "scenes") + _line(out / "dataset.meta", "dataset.meta") == pinned

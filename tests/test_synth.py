@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrseg import synth
-from corrseg.errors import DataFormatError
+from corrseg.errors import ConfigError, DataFormatError
 
 
 def make_cfg(**kw):
@@ -231,3 +231,44 @@ class TestScenePersistence:
         (d / "scene.meta").write_text("seed 7\n")
         with pytest.raises(DataFormatError, match="key=value"):
             synth.load_scene(d)
+
+
+class TestDataset:
+    CFG = make_cfg(height=16, width=24, min_things=0, max_things=3, seed=40)
+
+    def test_reads_back_the_generated_scenes_in_seed_order_on_every_pass(self, tmp_path):
+        synth.save_dataset(tmp_path, self.CFG, 3)
+        dataset = synth.Dataset(tmp_path)
+        assert dataset.size == (16, 24)
+        assert list(dataset.paths) == [40, 41, 42]
+        for _ in range(2):
+            scenes = list(dataset)
+            assert len(scenes) == 3
+            for seed, got in zip(range(40, 43), scenes):
+                want = synth.generate_scene(make_cfg(height=16, width=24, min_things=0,
+                                                     max_things=3, seed=seed))
+                np.testing.assert_array_equal(synth.to_uint8(got.image),
+                                              synth.to_uint8(want.image))
+                np.testing.assert_array_equal(got.semantic, want.semantic)
+                assert len(got.instances) == len(want.instances)
+                for (got_mask, got_cat), (want_mask, want_cat) in zip(got.instances,
+                                                                      want.instances):
+                    np.testing.assert_array_equal(got_mask, want_mask)
+                    assert got_cat == want_cat
+                assert got.meta == want.meta
+
+    def test_unlisted_seed_names_the_manifest(self, tmp_path):
+        synth.save_dataset(tmp_path, self.CFG, 2)
+        manifest = tmp_path / "dataset.meta"
+        with pytest.raises(DataFormatError) as info:
+            synth.Dataset(tmp_path).scene(42)
+        assert str(info.value) == f"{manifest}: lists no scene 42"
+
+    def test_stray_numbered_scene_refused_before_writing(self, tmp_path):
+        stray = tmp_path / "scenes" / "007"
+        stray.mkdir(parents=True)
+        with pytest.raises(ConfigError) as info:
+            synth.save_dataset(tmp_path, self.CFG, 2)
+        assert str(info.value) == (f"{stray}: scene 7 is not among the 2 scenes from "
+                                   "seed 40 that gen writes; remove it first")
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "scenes", stray]

@@ -7,6 +7,8 @@ INTERNALERROR that hides the falsifying example.  It also turns a
 ResourceWarning into an error, so a test that leaves a file open fails.
 
 README's Layout block names every module of the package.
+Only synth.py, which writes and reads the dataset on disk, names its
+manifest.
 """
 
 import os
@@ -72,3 +74,11 @@ def test_readme_layout_lists_every_module():
     modules = [path.name for path in (ROOT / "src" / "corrseg").glob("*.py")
                if not path.name.startswith("__")]
     assert sorted(listed) == sorted(modules)
+
+
+def test_only_synth_knows_the_dataset_manifest():
+    """The dataset's on-disk format is written and read in synth.py alone."""
+    package = ROOT / "src" / "corrseg"
+    knowing = sorted(path.name for path in package.glob("*.py")
+                     if "dataset.meta" in path.read_text(encoding="utf-8"))
+    assert knowing == ["synth.py"]
