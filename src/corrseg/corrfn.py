@@ -12,10 +12,11 @@ Since A sin(x + psi) = (A cos psi) sin x + (A sin psi) cos x, the one
 evaluator, :func:`corr_profile`, computes a0 + [A cos psi | A sin psi] @ B,
 where B is the constant (2N, M) basis of sin(n (pi / L) j) and
 cos(n (pi / L) j) over the M sample positions: transcendentals run per
-location and harmonic, not per sample.  A profile is one graph node
-whose backward is closed-form.  :func:`field_profiles` applies
-it to a whole parameter field, one axis at a time, and is the one place
-the modules and the CLI get profiles from.
+location and harmonic, not per sample.  B is built once per (N, L,
+positions) and shared read-only by every later call.  A profile is one
+graph node whose backward is closed-form.  :func:`field_profiles`
+applies it to a whole parameter field, one axis at a time, and is the
+one place the modules and the CLI get profiles from.
 
 The 2D form is separable: a product of an independent horizontal and
 vertical 1D function per location.  This keeps opposite row ends
@@ -25,7 +26,9 @@ would not (the end of one row is not adjacent to the start of the next).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -70,6 +73,18 @@ class CorrParamField:
         return self.hor.shape[1]
 
 
+@lru_cache(maxsize=64)
+def _basis(n: int, length: int, coords: bytes) -> np.ndarray:
+    """The read-only (2N, M) basis [sin(n w j); cos(n w j)], w = pi / length,
+    at the float64 positions packed in `coords`.  It depends only on the
+    map size and the sample positions, so each one is built once."""
+    args = np.multiply.outer(np.arange(1, n + 1) * (np.pi / length),
+                             np.frombuffer(coords, dtype=float))
+    basis = np.concatenate([np.sin(args), np.cos(args)])
+    basis.flags.writeable = False
+    return basis
+
+
 def corr_profile(theta: Tensor, coords, length: int) -> Tensor:
     """Differentiable profile evaluation for packed parameters, one node.
 
@@ -84,11 +99,10 @@ def corr_profile(theta: Tensor, coords, length: int) -> Tensor:
     n = n_terms_from_channels(theta.shape[-1])
     lead = theta.shape[:-1]
     coords = np.asarray(coords, dtype=float).reshape(-1)
-    args = np.multiply.outer(np.arange(1, n + 1) * (np.pi / length), coords)
-    basis = np.concatenate([np.sin(args), np.cos(args)])
+    basis = _basis(n, length, coords.tobytes())
     amps, phases = theta.data[..., 1:n + 1], theta.data[..., n + 1:]
     cos_p, sin_p = np.cos(phases), np.sin(phases)
-    rows = int(np.prod(lead))  # reshape(-1, 0) is ambiguous when N == 0
+    rows = math.prod(lead)  # reshape(-1, 0) is ambiguous when N == 0
     coeffs = np.concatenate([amps * cos_p, amps * sin_p], axis=-1).reshape(rows, 2 * n)
     out_data = (coeffs @ basis).reshape(lead + (coords.size,))
     out_data += theta.data[..., 0:1]

@@ -58,12 +58,28 @@ class PQResult:
     per_class: Dict[int, ClassPq]
 
 
+def _unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True, return_counts=True)`` for 1-D
+    int64 keys.  When the keys span no more values than there are keys,
+    as a labeling with dense ids does, a count over that range replaces
+    the sort; sparse keys (ids far beyond the pixel count) are sorted."""
+    lo = int(keys.min(initial=0))
+    span = int(keys.max(initial=0)) - lo + 1
+    if span > keys.size:
+        return np.unique(keys, return_inverse=True, return_counts=True)
+    offsets = keys - lo
+    counts = np.bincount(offsets)
+    rank = np.cumsum(counts > 0) - 1
+    present = np.flatnonzero(counts)
+    return present + lo, rank[offsets], counts[present]
+
+
 def _segments(pan: PanopticSegmentation
               ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """Dense segment id per pixel, plus each segment's category and area.
 
     Each pixel's (category + 1, instance) pair is packed into one int64
-    key, so finding the segments is a sort of 1-D keys, not of rows.
+    key, so finding the segments is a pass over 1-D keys, not over rows.
     Segments come in ascending (category, instance) order.
     """
     category = pan.category.reshape(-1).astype(np.int64)
@@ -71,8 +87,8 @@ def _segments(pan: PanopticSegmentation
     lo = int(instance.min(initial=0))
     span = int(instance.max(initial=0)) - lo + 1
     keys = (category + 1) * span + (instance - lo)
-    uniq, ids, area = np.unique(keys, return_inverse=True, return_counts=True)
-    return ids.reshape(-1), uniq // span - 1, area.tolist()
+    uniq, ids, area = _unique(keys)
+    return ids, uniq // span - 1, area.tolist()
 
 
 class PqAccumulator:
@@ -95,7 +111,7 @@ class PqAccumulator:
 
         # Intersection area of every overlapping (gt, pred) segment pair.
         n_pred = len(pred_area)
-        pairs, inters = np.unique(gt_ids * n_pred + pred_ids, return_counts=True)
+        pairs, _, inters = _unique(gt_ids * n_pred + pred_ids)
         pair_gt, pair_pred = np.divmod(pairs, n_pred)
         same = (gt_cat[pair_gt] == pred_cat[pair_pred]) & (gt_cat[pair_gt] != _VOID)
 

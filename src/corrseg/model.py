@@ -17,6 +17,7 @@ parameter dict is flat, checkpointable, and order-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
@@ -256,13 +257,11 @@ def upsample_nearest(arr: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(arr, factor, axis=0), factor, axis=1)
 
 
-def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Half-pixel-aligned bilinear upscale with edge clamping.
-
-    Scales the last two axes, so an (n, h, w) stack is upsampled in one
-    call, slice by slice.
-    """
-    h, w = arr.shape[-2:]
+@lru_cache(maxsize=16)
+def _bilinear_tables(h: int, w: int, factor: int) -> Tuple[np.ndarray, ...]:
+    """``upsample_bilinear``'s read-only source rows y0, y1 with weights
+    1 - wy, wy, and source columns x0, x1 with weights 1 - wx, wx, for an
+    h x w input.  They depend only on the sizes, so each set is built once."""
     ys = (np.arange(h * factor) + 0.5) / factor - 0.5
     xs = (np.arange(w * factor) + 0.5) / factor - 0.5
     y0f = np.floor(ys)
@@ -273,18 +272,31 @@ def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
+    tables = (y0, y1, 1.0 - wy, wy, x0, x1, 1.0 - wx, wx)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def upsample_bilinear(arr: np.ndarray, factor: int) -> np.ndarray:
+    """Half-pixel-aligned bilinear upscale with edge clamping.
+
+    Scales the last two axes, so an (n, h, w) stack is upsampled in one
+    call, slice by slice.
+    """
+    y0, y1, wy0, wy1, x0, x1, wx0, wx1 = _bilinear_tables(*arr.shape[-2:], factor)
     # Interpolate along x on the h input rows first; picking rows y0 and
     # y1 afterwards gives the same per-pixel arithmetic on 1/factor of
     # the rows.  Each gather is a fresh array, so the products and sums
     # run in place on it.
     cols = arr.take(x0, axis=-1)
-    cols *= 1.0 - wx
+    cols *= wx0
     right = arr.take(x1, axis=-1)
-    right *= wx
+    right *= wx1
     cols += right
     out = cols.take(y0, axis=-2)
-    out *= 1.0 - wy
+    out *= wy0
     below = cols.take(y1, axis=-2)
-    below *= wy
+    below *= wy1
     out += below
     return out

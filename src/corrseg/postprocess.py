@@ -12,6 +12,7 @@ tiny stuff regions and leftover thing-class pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ class PanopticSegmentation:
             )
 
 
+def overlap_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pixels shared by each mask of stack `a` and each of stack `b`, as
+    float64.  The product of the 0/1 masks runs in float32: a count is at
+    most ``MAX_SIDE ** 2`` = 2**20 < 2**24, so every partial sum is exact."""
+    pixels = math.prod(a.shape[1:])  # -1 cannot be inferred for an empty stack
+    a = a.reshape(len(a), pixels).astype(np.float32)
+    b = b.reshape(len(b), pixels).astype(np.float32)
+    return (a @ b.T).astype(float)
+
+
 def matrix_nms(pred: InstancePrediction) -> InstancePrediction:
     """Return predictions sorted by incoming score with decayed scores.
 
@@ -50,8 +61,7 @@ def matrix_nms(pred: InstancePrediction) -> InstancePrediction:
     masks = pred.masks[order]
     cats = pred.categories[order]
 
-    flat = masks.reshape(len(masks), -1).astype(float)
-    inter = flat @ flat.T
+    inter = overlap_counts(masks, masks)
     areas = np.diag(inter)
     union = areas[:, None] + areas[None, :] - inter
     iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)

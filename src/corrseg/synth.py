@@ -327,6 +327,12 @@ def save_scene(scene: SyntheticScene, directory) -> None:
     save_pgm(directory / "semantic.pgm", scene.semantic.astype(np.uint8))
     for k, (mask, _) in enumerate(scene.instances):
         save_pgm(directory / f"inst_{k}.pgm", mask.astype(np.uint8) * 255)
+    # The masks an earlier save of a scene with more things left behind.
+    for path in directory.glob("inst_*.pgm"):
+        k = path.stem[len("inst_"):]
+        if (k.isascii() and k.isdigit() and path.name == f"inst_{int(k)}.pgm"
+                and int(k) >= len(scene.instances)):
+            path.unlink()
     write_keyvalue(directory / "scene.meta",
                    [(key, scene.meta.get(key, "")) for key in _META_ORDER])
 

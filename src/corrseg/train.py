@@ -34,7 +34,7 @@ from .model import (
     decode_instances,
     upsample_nearest,
 )
-from .postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms
+from .postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms, overlap_counts
 from .rng import SplitMix64
 from .synth import SyntheticScene
 
@@ -273,7 +273,7 @@ def _twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
     """``twins_covered`` for a scene already known to be a twin scene."""
     kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
     twins = np.stack([mask for mask, _ in scene.instances[:2]])
-    inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))  # (2, n_kept)
+    inter = overlap_counts(twins, kept)  # (2, n_kept)
     union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
     # IoU > 0.5 without dividing: an empty union has inter 0 and fails
     return bool((2 * inter > union).any(axis=1).all())

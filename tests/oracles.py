@@ -27,6 +27,16 @@ against which the one-node `corrseg.corrfn.corr_profile` is checked.
 `check_gradients` compares reverse-mode gradients against central
 finite differences.
 
+`matrix_nms_float64` and `twins_covered_broadcast` count mask overlaps
+with a float64 product of the flattened masks and with a (2, n, H, W)
+bool broadcast.  `corrseg.postprocess.overlap_counts` counts them with a
+float32 product, exact only while every count stays below 2**24, so the
+package's results must equal these bit for bit.
+
+`segments_by_sort` finds a labeling's segments with `np.unique`, a sort
+of the packed keys; `corrseg.metrics` counts dense keys instead, and
+must return the same arrays.
+
 `compute_pq` is no oracle: it is the one-pair shorthand for
 `corrseg.metrics.PqAccumulator` that the metric tests call.
 """
@@ -40,6 +50,7 @@ from corrseg.autodiff import Tensor, no_grad
 from corrseg.errors import AutodiffError, NumericsError, ShapeError
 from corrseg.losses import DICE_EPS, FOCAL_ALPHA
 from corrseg.metrics import PqAccumulator
+from corrseg.model import InstancePrediction, ModelConfig
 
 
 def div(a, b):
@@ -218,6 +229,52 @@ def cross_entropy(logits, target_ids):
     log_probs = shifted + log(ad.tsum(exp(shifted), axis=-1, keepdims=True)) * -1.0
     picked = ad.tsum(ad.mul(log_probs, Tensor(onehot)))
     return picked * (-1.0 / ids.size)
+
+
+def matrix_nms_float64(pred):
+    """`corrseg.postprocess.matrix_nms` with its overlaps from a float64
+    product of the flattened masks."""
+    if len(pred) == 0:
+        return pred
+    order = np.argsort(-pred.scores, kind="stable")
+    masks = pred.masks[order]
+    cats = pred.categories[order]
+    flat = masks.reshape(len(masks), -1).astype(float)
+    inter = flat @ flat.T
+    areas = np.diag(inter)
+    union = areas[:, None] + areas[None, :] - inter
+    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    same_class = cats[:, None] == cats[None, :]
+    pair = np.triu(np.where(same_class, iou, 0.0), k=1)
+    cmax = pair.max(axis=0)
+    active = np.triu(same_class, k=1)
+    decay_pairs = np.where(
+        active, np.exp(-(pair**2 - cmax[:, None] ** 2) / ModelConfig.nms_sigma), 1.0
+    )
+    return InstancePrediction(masks=masks, categories=cats,
+                              scores=pred.scores[order] * decay_pairs.min(axis=0))
+
+
+def twins_covered_broadcast(pred, scene):
+    """`corrseg.train._twins_covered` with its overlaps from a (2, n, H, W)
+    bool broadcast."""
+    kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
+    twins = np.stack([mask for mask, _ in scene.instances[:2]])
+    inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))
+    union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
+    return bool((2 * inter > union).any(axis=1).all())
+
+
+def segments_by_sort(pan):
+    """`corrseg.metrics._segments` through `np.unique`: dense segment id per
+    pixel, each segment's category and area."""
+    category = pan.category.reshape(-1).astype(np.int64)
+    instance = pan.instance.reshape(-1).astype(np.int64)
+    lo = int(instance.min(initial=0))
+    span = int(instance.max(initial=0)) - lo + 1
+    keys = (category + 1) * span + (instance - lo)
+    uniq, ids, area = np.unique(keys, return_inverse=True, return_counts=True)
+    return ids.reshape(-1), uniq // span - 1, area.tolist()
 
 
 def compute_pq(pred, gt):

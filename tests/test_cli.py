@@ -118,6 +118,24 @@ class TestGen:
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
 
+    def test_force_over_more_things_leaves_a_fresh_scene(self, tmp_path):
+        """gen --force removes the masks of an older scene's extra things,
+        and nothing else."""
+        out, fresh = tmp_path / "d", tmp_path / "fresh"
+        assert main(["gen", "--count", "1", "--seed", "5", "--min-things", "4",
+                     "--max-things", "6", "--out", str(out)]) == 0
+        assert (out / "scenes" / "5" / "inst_4.pgm").is_file()
+        (out / "scenes" / "5" / "inst_04.pgm").write_text("kept")
+        assert main(["gen", "--force", "--count", "1", "--seed", "5", "--out", str(out)]) == 0
+        assert main(["gen", "--count", "1", "--seed", "5", "--out", str(fresh)]) == 0
+        assert (out / "scenes" / "5" / "inst_04.pgm").read_text() == "kept"
+        (out / "scenes" / "5" / "inst_04.pgm").unlink()
+        written = sorted(p.name for p in (out / "scenes" / "5").iterdir())
+        assert written == sorted(p.name for p in (fresh / "scenes" / "5").iterdir())
+        for name in written:
+            assert (out / "scenes" / "5" / name).read_bytes() == \
+                (fresh / "scenes" / "5" / name).read_bytes(), name
+
     def test_count_zero_writes_manifest_only(self, tmp_path, small_cfg):
         out = tmp_path / "empty"
         assert main(["gen", "--config", small_cfg, "--out", str(out),

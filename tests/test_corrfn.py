@@ -238,3 +238,32 @@ class TestCorrProfileNode:
         err = check_gradients(
             lambda t: ad.mul(cf.corr_profile(t, samples, 5), weights).sum(), theta)
         assert err < 1e-8
+
+
+class TestBasisCache:
+    """The (2N, M) basis is built once per (N, length, positions)."""
+
+    def test_cached_basis_is_shared_and_read_only(self):
+        coords = np.arange(6, dtype=float)
+        profile(np.zeros(5), coords, 6)
+        basis = cf._basis(2, 6, coords.tobytes())
+        assert cf._basis(2, 6, coords.tobytes()) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_sizes_in_turn_equal_a_fresh_build(self):
+        # Value and gradient bit for bit against the op-by-op graph, which
+        # builds its basis from sin and cos afresh on every call.
+        for length in (5, 8, 5, 8):
+            data = SplitMix64(70 + length).uniform_array((3, length, 7), -2.0, 2.0)
+            weights = ad.Tensor(SplitMix64(71).uniform_array((3, length, length), -1.0, 1.0))
+            results = []
+            for evaluate in (cf.corr_profile, corr_profile_ops):
+                theta = ad.Tensor(data, requires_grad=True)
+                out = evaluate(theta, np.arange(length), length)
+                ad.mul(out, weights).sum().backward()
+                results.append((out.data, theta.grad))
+            (got, got_grad), (want, want_grad) = results
+            assert np.array_equal(got, want), length
+            assert np.array_equal(got_grad, want_grad), length

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from corrseg import metrics
 from corrseg.errors import ShapeError
 from corrseg.metrics import PqAccumulator
 from corrseg.postprocess import PanopticSegmentation
 from corrseg.rng import SplitMix64
-from oracles import compute_pq
+from corrseg.synth import SceneConfig, generate_scene
+from corrseg.train import scene_to_panoptic
+from oracles import compute_pq, segments_by_sort
 
 
 def pan(category, instance):
@@ -223,6 +226,65 @@ class TestPackedKeysAgainstBruteForce:
             want["pq"], want["sq"], want["rq"], want["pq_th"], want["pq_st"])
         assert {c: (s.sq, s.rq, s.pq) for c, s in got.per_class.items()} == \
             want["per_class"]
+
+
+def sorts_made(monkeypatch):
+    """A list that grows by one on every np.unique call from here on."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    return calls
+
+
+def assert_same_segments(got, want):
+    (got_ids, got_cat, got_area), (want_ids, want_cat, want_area) = got, want
+    for a, b in ((got_ids, want_ids), (got_cat, want_cat)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got_area == want_area
+
+
+class TestSegmentCounting:
+    """_segments counts dense keys and sorts sparse ones; both give
+    np.unique's result."""
+
+    def test_dense_labelings_are_counted_not_sorted(self, monkeypatch):
+        rng = SplitMix64(41)
+        labelings = [random_panoptic(rng, 9, 7) for _ in range(20)]
+        labelings += [scene_to_panoptic(generate_scene(SceneConfig(
+            height=32, width=32, twin_mode=True, seed=seed))) for seed in range(3)]
+        wants = [segments_by_sort(p) for p in labelings]
+        sorts = sorts_made(monkeypatch)
+        for labeling, want in zip(labelings, wants):
+            assert_same_segments(metrics._segments(labeling), want)
+        assert not sorts
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-3, 60)))
+    def test_keys_equal_np_unique(self, keys):
+        want = np.unique(keys, return_inverse=True, return_counts=True)
+        for got, expected in zip(metrics._unique(keys), want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_sparse_ids_are_sorted(self, monkeypatch):
+        labeling = pan([[0, 0], [1, 4]], [[1, 2**40], [2**31 + 3, 0]])
+        want = segments_by_sort(labeling)
+        sorts = sorts_made(monkeypatch)
+        assert_same_segments(metrics._segments(labeling), want)
+        assert sorts
+
+    @pytest.mark.parametrize("sorted_", [True, False])
+    def test_brute_force_pairs_reach_both_branches(self, monkeypatch, sorted_):
+        """The strategy of TestPackedKeysAgainstBruteForce draws labelings
+        that take each branch."""
+        sorts = sorts_made(monkeypatch)
+
+        def takes_branch(pair):
+            before = len(sorts)
+            metrics._segments(pair[1])
+            return (len(sorts) > before) == sorted_
+
+        # find raises NoSuchExample when no drawn pair takes the branch.
+        find(pred_gt_pairs(), takes_branch, settings=settings(database=None))
 
 
 class TestAccumulator:

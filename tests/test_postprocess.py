@@ -9,6 +9,8 @@ from corrseg.errors import ShapeError
 from corrseg.model import InstancePrediction, ModelConfig
 from corrseg.postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms
 from corrseg.rng import SplitMix64
+from corrseg.synth import MAX_SIDE
+from oracles import matrix_nms_float64
 
 SIGMA = 2.0
 
@@ -123,6 +125,38 @@ class TestMatrixNms:
         assert list(out.scores) == [0.8, 0.4]
         assert list(out.categories) == [1, 0]
         np.testing.assert_array_equal(out.masks, [masks[1], masks[0]])
+
+
+def assert_same_prediction(got, want):
+    assert got.scores.tobytes() == want.scores.tobytes()
+    np.testing.assert_array_equal(got.categories, want.categories)
+    np.testing.assert_array_equal(got.masks, want.masks)
+
+
+class TestFloat32OverlapCounts:
+    def test_largest_count_is_exact_in_float32(self):
+        """A count of up to 2**24 is an exact float32, and every partial
+        sum of a product of 0/1 masks is such a count."""
+        assert MAX_SIDE ** 2 <= 2 ** 24
+
+    def test_random_masks_equal_the_float64_product(self):
+        rng = np.random.default_rng(7)
+        for trial in range(30):
+            n = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            pred = InstancePrediction(
+                masks=rng.random((n, h, w)) < rng.random(),
+                categories=rng.integers(0, 3, size=n),
+                scores=rng.random(n))
+            assert_same_prediction(matrix_nms(pred), matrix_nms_float64(pred))
+
+    def test_all_true_masks_of_the_largest_scene(self):
+        masks = np.ones((2, MAX_SIDE, MAX_SIDE), dtype=bool)
+        pred = InstancePrediction(masks=masks, categories=np.zeros(2, dtype=np.int64),
+                                  scores=np.array([0.9, 0.6]))
+        out = matrix_nms(pred)
+        assert_same_prediction(out, matrix_nms_float64(pred))
+        assert out.scores[1] == 0.6 * math.exp(-1.0 / ModelConfig.nms_sigma)
 
 
 def fusion_cfg(**overrides):

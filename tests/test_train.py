@@ -9,7 +9,7 @@ from corrseg import train as train_mod
 from corrseg.errors import NumericsError
 from corrseg.model import InstancePrediction, ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
-from corrseg.synth import SceneConfig, generate_scene
+from corrseg.synth import MAX_SIDE, SceneConfig, SyntheticScene, generate_scene
 from corrseg.train import (
     evaluate_scenes,
     fit,
@@ -22,7 +22,7 @@ from corrseg.train import (
     train_epoch,
     twins_covered,
 )
-from oracles import compute_pq
+from oracles import compute_pq, twins_covered_broadcast
 
 
 def smoke_scenes(count, seed=0, size=32, twin=False):
@@ -236,6 +236,42 @@ def truth_prediction(scene, keep=None, score=0.9, shift=0):
         categories=np.array([(c + shift) % 3 for _, c in instances], dtype=np.int64),
         scores=np.full(len(instances), score),
     )
+
+
+def twin_pair_scene(twins):
+    """A scene holding only the two given masks, as one category's twins."""
+    h, w = twins[0].shape
+    return SyntheticScene(image=np.zeros((h, w, 3)), semantic=np.zeros((h, w), dtype=np.int64),
+                          instances=[(twins[0], 0), (twins[1], 0)])
+
+
+class TestTwinOverlapCounts:
+    def test_random_masks_equal_the_bool_broadcast(self):
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for trial in range(60):
+            h, w = (int(v) for v in rng.integers(1, 30, size=2))
+            twins = rng.random((2, h, w)) < 0.5
+            n = int(rng.integers(0, 6))
+            # Each prediction is a twin with a share of its pixels flipped,
+            # so IoUs fall on both sides of 1/2.
+            flips = rng.random((n, h, w)) < 0.3 * rng.random()
+            masks = twins[rng.integers(0, 2, size=n)] ^ flips
+            pred = InstancePrediction(masks=masks, categories=np.zeros(n, dtype=np.int64),
+                                      scores=rng.random(n))
+            scene = twin_pair_scene(twins)
+            want = twins_covered_broadcast(pred, scene)
+            assert train_mod._twins_covered(pred, scene) == want, trial
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_all_true_masks_of_the_largest_scene(self):
+        twins = np.ones((2, MAX_SIDE, MAX_SIDE), dtype=bool)
+        pred = InstancePrediction(masks=twins.copy(), categories=np.zeros(2, dtype=np.int64),
+                                  scores=np.full(2, 0.9))
+        scene = twin_pair_scene(twins)
+        assert twins_covered_broadcast(pred, scene)
+        assert train_mod._twins_covered(pred, scene) is True
 
 
 class TestTwinDetection:
