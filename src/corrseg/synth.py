@@ -12,13 +12,17 @@ Categories: things are 0..2, stuff 3..5.
 
 On disk a dataset is a `key=value` manifest plus one directory of binary
 netpbm files and a `key=value` manifest per scene, named by the scene's
-seed: an optional ``-`` and ASCII digits, which may be zero-padded.
+seed: an optional ``-`` and ASCII digits, which may be zero-padded.  Every
+integer read back from a name or a manifest is of that form.
 
     dataset.meta                 count, first_seed, SceneConfig's fields but seed
     scenes/<seed>/image.ppm      P6, maxval 255
     scenes/<seed>/semantic.pgm   P5, category ids as gray values
-    scenes/<seed>/inst_<k>.pgm   P5, 0 or 255
-    scenes/<seed>/scene.meta
+    scenes/<seed>/instance.pgm   P5, instance ids: k + 1 on thing k, 0 elsewhere
+    scenes/<seed>/scene.meta     categories=thing 0's category,thing 1's,...
+
+The semantic and instance planes are the scene's panoptic ground truth:
+things never overlap, so one id per pixel holds them all.
 """
 
 from __future__ import annotations
@@ -274,6 +278,9 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
             f"{path}: payload truncated at byte {payload_start + max(available, 0)}: "
             f"expected {expected} bytes, found {available}"
         )
+    if available > expected:
+        raise DataFormatError(f"{path}: {available - expected} trailing bytes "
+                              f"from byte {payload_start + expected}")
     flat = np.frombuffer(data, dtype=np.uint8, count=expected, offset=payload_start)
     shape = (height, width, channels) if channels > 1 else (height, width)
     return flat.reshape(shape).copy()
@@ -320,19 +327,27 @@ def scene_dir(root, seed: int) -> Path:
     return Path(root) / "scenes" / str(seed)
 
 
+def instance_plane(scene: SyntheticScene) -> np.ndarray:
+    """The (H, W) instance ids: k + 1 on thing k's pixels, 0 elsewhere."""
+    ids = np.zeros((scene.height, scene.width), dtype=np.int64)
+    for k, (mask, _) in enumerate(scene.instances):
+        ids[mask] = k + 1
+    return ids
+
+
 def save_scene(scene: SyntheticScene, directory) -> None:
+    """Write the scene's four files; ValueError, before any write, for
+    things that one instance plane cannot hold."""
     directory = Path(directory)
+    ids = instance_plane(scene)
+    if (len(scene.instances) > MAX_THINGS
+            or np.count_nonzero(ids) < sum(np.count_nonzero(m) for m, _ in scene.instances)):
+        raise ValueError(f"{directory}: one instance plane holds at most {MAX_THINGS} "
+                         f"things whose masks do not overlap")
     directory.mkdir(parents=True, exist_ok=True)
     save_ppm(directory / "image.ppm", to_uint8(scene.image))
     save_pgm(directory / "semantic.pgm", scene.semantic.astype(np.uint8))
-    for k, (mask, _) in enumerate(scene.instances):
-        save_pgm(directory / f"inst_{k}.pgm", mask.astype(np.uint8) * 255)
-    # The masks an earlier save of a scene with more things left behind.
-    for path in directory.glob("inst_*.pgm"):
-        k = path.stem[len("inst_"):]
-        if (k.isascii() and k.isdigit() and path.name == f"inst_{int(k)}.pgm"
-                and int(k) >= len(scene.instances)):
-            path.unlink()
+    save_pgm(directory / "instance.pgm", ids)
     write_keyvalue(directory / "scene.meta",
                    [(key, scene.meta.get(key, "")) for key in _META_ORDER])
 
@@ -372,6 +387,16 @@ def write_keyvalue(path, pairs: Iterable[Tuple[str, object]]) -> None:
     )
 
 
+def _ascii_int(text: str) -> int:
+    """The integer that an optional ``-`` and ASCII digits spell; ValueError
+    for any other text, even text int() takes (``1_000``, ``+1``, other
+    scripts' digits)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(text)
+
+
 def _load_plane(path: Path, shape: Tuple[int, int]) -> np.ndarray:
     plane = load_pgm(path)
     if plane.shape != shape:
@@ -398,12 +423,16 @@ def load_scene(directory) -> SyntheticScene:
     for raw in meta.get("categories", "").split(","):
         if raw == "":
             continue
-        if not (raw.strip().isdecimal() and int(raw) < THING_CLASSES):
+        try:
+            category = _ascii_int(raw.strip())
+            if not 0 <= category < THING_CLASSES:
+                raise ValueError
+        except ValueError:
             raise DataFormatError(
                 f"{meta_path}: instance category {raw!r} is outside "
                 f"0..{THING_CLASSES - 1}"
-            )
-        categories.append(int(raw))
+            ) from None
+        categories.append(category)
     image = load_ppm(directory / "image.ppm").astype(float)
     image /= 255.0  # in place: one float copy of the image, not two
     shape = image.shape[:2]
@@ -415,10 +444,12 @@ def load_scene(directory) -> SyntheticScene:
             f"{semantic_path}: semantic id {semantic.max()} is outside "
             f"0..{n_classes - 1}"
         )
-    instances = [
-        (_load_plane(directory / f"inst_{k}.pgm", shape) > 127, category)
-        for k, category in enumerate(categories)
-    ]
+    ids_path = directory / "instance.pgm"
+    ids = _load_plane(ids_path, shape)
+    if ids.max(initial=0) > len(categories):
+        raise DataFormatError(f"{ids_path}: instance id {ids.max()} is above the "
+                              f"{len(categories)} things that {meta_path} lists")
+    instances = [(ids == k + 1, category) for k, category in enumerate(categories)]
     return SyntheticScene(image=image, semantic=semantic, instances=instances, meta=meta)
 
 
@@ -430,9 +461,10 @@ def _numbered_dirs(scenes_root: Path) -> List[Tuple[int, Path]]:
     names, in name order."""
     found = []
     for child in sorted(path for path in scenes_root.iterdir() if path.is_dir()):
-        digits = child.name[1:] if child.name.startswith("-") else child.name
-        if digits.isascii() and digits.isdigit():
-            found.append((int(child.name), child))
+        try:
+            found.append((_ascii_int(child.name), child))
+        except ValueError:
+            continue
     return found
 
 
@@ -465,8 +497,8 @@ class Dataset:
         self.manifest = root / "dataset.meta"
         try:
             meta = parse_keyvalue(self.manifest.read_text(encoding="utf-8"), str(self.manifest))
-            first, count = int(meta["first_seed"]), int(meta["count"])
-            self.size = int(meta["height"]), int(meta["width"])
+            first, count = _ascii_int(meta["first_seed"]), _ascii_int(meta["count"])
+            self.size = _ascii_int(meta["height"]), _ascii_int(meta["width"])
         except (OSError, KeyError, ValueError) as exc:
             raise DataFormatError(
                 f"{self.manifest}: missing or malformed dataset manifest ({exc})") from None

@@ -36,7 +36,7 @@ from .model import (
 )
 from .postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms, overlap_counts
 from .rng import SplitMix64
-from .synth import SyntheticScene
+from .synth import SyntheticScene, instance_plane
 
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
@@ -92,11 +92,8 @@ def flip_scene(scene: SyntheticScene, horizontal: bool, vertical: bool) -> Synth
 
 
 def scene_to_panoptic(scene: SyntheticScene) -> PanopticSegmentation:
-    """Ground-truth labeling: instance ids 1..n in scene order, stuff id 0."""
-    instance = np.zeros((scene.height, scene.width), dtype=np.int64)
-    for k, (mask, _) in enumerate(scene.instances):
-        instance[mask] = k + 1
-    return PanopticSegmentation(category=scene.semantic.copy(), instance=instance)
+    """Ground-truth labeling: the scene's semantic and instance planes."""
+    return PanopticSegmentation(category=scene.semantic.copy(), instance=instance_plane(scene))
 
 
 def train_step(

@@ -37,6 +37,10 @@ package's results must equal these bit for bit.
 of the packed keys; `corrseg.metrics` counts dense keys instead, and
 must return the same arrays.
 
+`paint_instances` paints a scene's things into an id plane one by one,
+as `corrseg.train.scene_to_panoptic` did before `corrseg.synth` gained
+`instance_plane`.
+
 `compute_pq` is no oracle: it is the one-pair shorthand for
 `corrseg.metrics.PqAccumulator` that the metric tests call.
 """
@@ -263,6 +267,15 @@ def twins_covered_broadcast(pred, scene):
     inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))
     union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
     return bool((2 * inter > union).any(axis=1).all())
+
+
+def paint_instances(scene):
+    """The instance ids of `corrseg.train.scene_to_panoptic` painted one thing
+    at a time: k + 1 on thing k, 0 elsewhere."""
+    instance = np.zeros((scene.height, scene.width), dtype=np.int64)
+    for k, (mask, _) in enumerate(scene.instances):
+        instance[mask] = k + 1
+    return instance
 
 
 def segments_by_sort(pan):

@@ -30,7 +30,8 @@ from corrseg.cli import _DEFAULTS, _KEY_ORDER, _TYPES, _merge, build_parser, mai
 from corrseg.corrfn import field_profiles
 from corrseg.model import ModelConfig, PanopticModel
 from corrseg.rng import SplitMix64
-from corrseg.synth import load_pgm, load_scene, parse_keyvalue, scene_dir, write_keyvalue
+from corrseg.synth import (load_pgm, load_scene, parse_keyvalue, save_pgm, scene_dir,
+                           write_keyvalue)
 from corrseg.train import scene_image
 from oracles import per_harmonic_profile
 
@@ -119,12 +120,12 @@ class TestGen:
         assert main(args + ["--force"]) == 0
 
     def test_force_over_more_things_leaves_a_fresh_scene(self, tmp_path):
-        """gen --force removes the masks of an older scene's extra things,
-        and nothing else."""
+        """gen --force over a scene that had more things leaves the scene a
+        fresh gen writes, and keeps a file gen does not write."""
         out, fresh = tmp_path / "d", tmp_path / "fresh"
         assert main(["gen", "--count", "1", "--seed", "5", "--min-things", "4",
                      "--max-things", "6", "--out", str(out)]) == 0
-        assert (out / "scenes" / "5" / "inst_4.pgm").is_file()
+        assert load_pgm(out / "scenes" / "5" / "instance.pgm").max() >= 5
         (out / "scenes" / "5" / "inst_04.pgm").write_text("kept")
         assert main(["gen", "--force", "--count", "1", "--seed", "5", "--out", str(out)]) == 0
         assert main(["gen", "--count", "1", "--seed", "5", "--out", str(fresh)]) == 0
@@ -808,6 +809,31 @@ def _drop_height(data):
     return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ('height')"
 
 
+def _non_ascii_integers(data):
+    """int() reads these as count 4 and first seed 7."""
+    (data / "dataset.meta").write_text("count=\u0664\nfirst_seed=0_7\nheight=32\nwidth=32\n")
+    return f"{data / 'dataset.meta'}: missing or malformed dataset manifest ("
+
+
+def _non_ascii_categories(data):
+    meta = scene_dir(data, 8) / "scene.meta"
+    lines = ["categories=\u0661,\u0661" if line.startswith("categories=") else line
+             for line in meta.read_text().splitlines()]
+    meta.write_text("\n".join(lines) + "\n")
+    return f"{meta}: instance category '\u0661' is outside 0..2"
+
+
+def _pre_instance_plane_layout(data):
+    """Scene 8 as it was stored before the instance plane: one 0/255
+    inst_<k>.pgm per thing."""
+    directory = scene_dir(data, 8)
+    ids = load_pgm(directory / "instance.pgm")
+    (directory / "instance.pgm").unlink()
+    for k in range(int(ids.max())):
+        save_pgm(directory / f"inst_{k}.pgm", (ids == k + 1).astype(np.uint8) * 255)
+    return f"[Errno 2] No such file or directory: '{directory / 'instance.pgm'}'"
+
+
 def _zero_height(data):
     (data / "dataset.meta").write_text("count=4\nfirst_seed=7\nheight=0\nwidth=32\n")
     return f"{data / 'dataset.meta'}: scene size 0x32 is outside [16, 1024]"
@@ -841,7 +867,8 @@ class TestDatasetManifest:
     @pytest.mark.parametrize("command", ["train", "eval --oracle"])
     @pytest.mark.parametrize("edit", [_duplicate_scene, _unlisted_scene, _remove_scene,
                                       _remove_manifest, _malform_manifest, _drop_first_seed,
-                                      _drop_height, _zero_height])
+                                      _drop_height, _zero_height, _non_ascii_integers,
+                                      _non_ascii_categories, _pre_instance_plane_layout])
     def test_scenes_differing_from_manifest_exit_3(self, tmp_path, dataset, small_cfg,
                                                     capsys, command, edit):
         data = tmp_path / "data"

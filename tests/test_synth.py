@@ -17,6 +17,21 @@ def make_cfg(**kw):
 SMALL_SCENE = synth.generate_scene(make_cfg(height=16, width=16, min_things=2, seed=34))
 
 
+def one_pixel(k, side=16):
+    """A side x side mask holding only pixel k in row-major order."""
+    mask = np.zeros((side, side), dtype=bool)
+    mask[divmod(k, side)] = True
+    return mask
+
+
+def things_scene(instances, side=16):
+    """A hand-built scene of the given (mask, category) things on one stuff band."""
+    return synth.SyntheticScene(
+        image=np.zeros((side, side, 3)),
+        semantic=np.full((side, side), synth.FIRST_STUFF_ID, dtype=np.int64),
+        instances=instances, meta={"categories": ",".join(str(c) for _, c in instances)})
+
+
 class TestGeneration:
     def test_no_things_leaves_band_pattern(self):
         scene = synth.generate_scene(make_cfg(min_things=0, max_things=0, seed=3))
@@ -133,6 +148,13 @@ class TestNetpbm:
         with pytest.raises(DataFormatError, match=field):
             synth.load_pgm(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5\n2 2\n255\nabcd" + b"garbage")
+        with pytest.raises(DataFormatError) as info:
+            synth.load_pgm(p)
+        assert str(info.value) == f"{p}: 7 trailing bytes from byte 15"
+
     def test_comments_in_header_accepted(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# made elsewhere\n2 2\n255\nabcd")
@@ -154,6 +176,32 @@ class TestScenePersistence:
             assert ca == cb
         assert np.abs(loaded.image - scene.image).max() <= 1.0 / 255.0 + 1e-12
 
+    def test_every_instance_id_fits_a_pgm_byte(self):
+        assert synth.MAX_THINGS <= 255
+
+    def test_most_things_round_trip_exactly(self, tmp_path):
+        """MAX_THINGS one-pixel things, ids 1..MAX_THINGS, read back as written."""
+        instances = [(one_pixel(3 * k), k % synth.THING_CLASSES)
+                     for k in range(synth.MAX_THINGS)]
+        scene = things_scene(instances)
+        synth.save_scene(scene, tmp_path / "s")
+        assert synth.load_pgm(tmp_path / "s" / "instance.pgm").max() == synth.MAX_THINGS
+        loaded = synth.load_scene(tmp_path / "s")
+        assert len(loaded.instances) == synth.MAX_THINGS
+        for (got_mask, got_cat), (want_mask, want_cat) in zip(loaded.instances, instances):
+            np.testing.assert_array_equal(got_mask, want_mask)
+            assert got_cat == want_cat
+
+    @pytest.mark.parametrize("masks", [
+        [one_pixel(0) | one_pixel(1), one_pixel(1)],
+        [one_pixel(k) for k in range(synth.MAX_THINGS + 1)],
+    ], ids=["overlapping", "too_many"])
+    def test_things_no_plane_holds_refused_before_writing(self, tmp_path, masks):
+        scene = things_scene([(mask, 0) for mask in masks])
+        with pytest.raises(ValueError, match="instance plane holds at most"):
+            synth.save_scene(scene, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_manifest_field_order_stable(self, tmp_path):
         scene = synth.generate_scene(make_cfg(seed=32))
         synth.save_scene(scene, tmp_path / "s")
@@ -171,7 +219,7 @@ class TestScenePersistence:
         synth.save_scene(scene, directory)
         return directory
 
-    @pytest.mark.parametrize("categories", ["0,3", "0,-1", "0,x"])
+    @pytest.mark.parametrize("categories", ["0,3", "0,-1", "0,x", "\u0661,\u0661"])
     def test_instance_category_out_of_range_rejected(self, tmp_path, categories):
         directory = self.saved(tmp_path)
         meta = directory / "scene.meta"
@@ -179,6 +227,17 @@ class TestScenePersistence:
                  for line in meta.read_text().splitlines()]
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"{meta}: instance category"):
+            synth.load_scene(directory)
+
+    def test_instance_id_above_the_things_rejected(self, tmp_path):
+        directory = self.saved(tmp_path)
+        path = directory / "instance.pgm"
+        ids = synth.load_pgm(path)
+        n = int(ids.max())
+        assert n == len(synth.load_scene(directory).instances)
+        ids[0, 0] = n + 1
+        synth.save_pgm(path, ids)
+        with pytest.raises(DataFormatError, match=f"{path}: instance id {n + 1} is above"):
             synth.load_scene(directory)
 
     def test_semantic_id_out_of_range_rejected(self, tmp_path):
@@ -190,7 +249,7 @@ class TestScenePersistence:
         with pytest.raises(DataFormatError, match=f"{path}: semantic id 6"):
             synth.load_scene(directory)
 
-    @pytest.mark.parametrize("name", ["semantic.pgm", "inst_1.pgm"])
+    @pytest.mark.parametrize("name", ["semantic.pgm", "instance.pgm"])
     def test_plane_size_mismatch_rejected(self, tmp_path, name):
         directory = self.saved(tmp_path)
         path = directory / name
@@ -199,7 +258,7 @@ class TestScenePersistence:
             synth.load_scene(directory)
 
     @settings(max_examples=200, deadline=None)
-    @given(name=st.sampled_from(["scene.meta", "image.ppm", "semantic.pgm", "inst_0.pgm"]),
+    @given(name=st.sampled_from(["scene.meta", "image.ppm", "semantic.pgm", "instance.pgm"]),
            flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
                           min_size=1, max_size=3))
     def test_corrupted_bytes_load_or_raise_data_format_error(self, name, flips):
@@ -256,6 +315,19 @@ class TestDataset:
                     np.testing.assert_array_equal(got_mask, want_mask)
                     assert got_cat == want_cat
                 assert got.meta == want.meta
+
+    @pytest.mark.parametrize("key, value", [("first_seed", "4_0"), ("count", "\u0662"),
+                                            ("height", "+16"), ("width", "2_4")])
+    def test_manifest_integers_are_ascii(self, tmp_path, key, value):
+        """int() reads each of these values, but only ASCII digits are a manifest's."""
+        synth.save_dataset(tmp_path, self.CFG, 2)
+        manifest = tmp_path / "dataset.meta"
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in manifest.read_text().splitlines()]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            synth.Dataset(tmp_path)
+        assert str(info.value).startswith(f"{manifest}: missing or malformed dataset manifest")
 
     def test_unlisted_seed_names_the_manifest(self, tmp_path):
         synth.save_dataset(tmp_path, self.CFG, 2)

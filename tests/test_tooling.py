@@ -8,7 +8,7 @@ ResourceWarning into an error, so a test that leaves a file open fails.
 
 README's Layout block names every module of the package.
 Only synth.py, which writes and reads the dataset on disk, names its
-manifest.
+manifests and its scenes' files.
 """
 
 import os
@@ -16,6 +16,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 CONFIG = ROOT / "pyproject.toml"
@@ -76,9 +78,15 @@ def test_readme_layout_lists_every_module():
     assert sorted(listed) == sorted(modules)
 
 
-def test_only_synth_knows_the_dataset_manifest():
-    """The dataset's on-disk format is written and read in synth.py alone."""
+@pytest.mark.parametrize("name", ["dataset.meta", "scene.meta", "image.ppm", "semantic.pgm",
+                                  "instance.pgm"])
+def test_only_synth_knows_the_dataset_manifest(name):
+    """The dataset's on-disk format is written and read in synth.py alone.
+
+    A name counts where a quote or a path's slash starts it, so the
+    attribute ``scene.meta`` is not the file."""
     package = ROOT / "src" / "corrseg"
+    named = re.compile(r"""(?<=["'/])""" + re.escape(name) + r"\b")
     knowing = sorted(path.name for path in package.glob("*.py")
-                     if "dataset.meta" in path.read_text(encoding="utf-8"))
+                     if named.search(path.read_text(encoding="utf-8")))
     assert knowing == ["synth.py"]

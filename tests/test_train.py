@@ -22,7 +22,7 @@ from corrseg.train import (
     train_epoch,
     twins_covered,
 )
-from oracles import compute_pq, twins_covered_broadcast
+from oracles import compute_pq, paint_instances, twins_covered_broadcast
 
 
 def smoke_scenes(count, seed=0, size=32, twin=False):
@@ -51,6 +51,15 @@ class TestGroundTruthConversion:
             assert np.all(gt.category[mask] == category)
         background = gt.instance == 0
         assert np.all(gt.category[background] >= 3)
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_labeling_equals_painting_each_thing(self, twin):
+        for scene in smoke_scenes(8, seed=40, twin=twin) + [generate_scene(SceneConfig(
+                height=48, width=40, min_things=0, max_things=8, seed=41, twin_mode=twin))]:
+            gt = scene_to_panoptic(scene)
+            np.testing.assert_array_equal(gt.instance, paint_instances(scene))
+            assert gt.instance.dtype == np.int64
+            np.testing.assert_array_equal(gt.category, scene.semantic)
 
     def test_perfect_gt_evaluates_to_unity(self):
         scene = smoke_scenes(1, seed=6)[0]
