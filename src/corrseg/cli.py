@@ -275,11 +275,11 @@ def _oracle_inference(
     scene: SyntheticScene,
 ) -> Tuple[PanopticSegmentation, InstancePrediction]:
     """Ground truth as the prediction: its labeling and every instance at score 1."""
-    masks = [mask for mask, _ in scene.instances]
+    things = len(scene.categories)
     return scene_to_panoptic(scene), InstancePrediction(
-        masks=np.array(masks, dtype=bool).reshape(-1, scene.height, scene.width),
-        categories=np.array([category for _, category in scene.instances], dtype=np.int64),
-        scores=np.ones(len(scene.instances)),
+        masks=scene.instance == np.arange(1, things + 1)[:, None, None],
+        categories=np.array(scene.categories, dtype=np.int64),
+        scores=np.ones(things),
     )
 
 

@@ -141,7 +141,8 @@ def assign_instances_to_cells(scene: SyntheticScene, grid_size: int) -> Assignme
     cell_h = scene.height / grid_size
     cell_w = scene.width / grid_size
     geoms = []
-    for mask, category in scene.instances:
+    for k, category in enumerate(scene.categories):
+        mask = scene.instance == k + 1
         geom = _instance_geometry(mask)
         if geom is None:
             continue

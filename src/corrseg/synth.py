@@ -21,8 +21,9 @@ integer read back from a name or a manifest is of that form.
     scenes/<seed>/instance.pgm   P5, instance ids: k + 1 on thing k, 0 elsewhere
     scenes/<seed>/scene.meta     categories=thing 0's category,thing 1's,...
 
-The semantic and instance planes are the scene's panoptic ground truth:
-things never overlap, so one id per pixel holds them all.
+A SyntheticScene holds exactly what the four files hold.  The semantic
+and instance planes are the scene's panoptic ground truth: things never
+overlap, so one id per pixel holds them all.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class SceneConfig:
 
 @dataclass
 class SyntheticScene:
-    image: np.ndarray                      # (H, W, 3) floats in [0, 1]
-    semantic: np.ndarray                   # (H, W) int category ids
-    instances: List[Tuple[np.ndarray, int]]  # (bool mask, thing category)
-    meta: Dict[str, str] = field(default_factory=dict)
+    image: np.ndarray       # (H, W, 3) floats in [0, 1]
+    semantic: np.ndarray    # (H, W) int category ids
+    instance: np.ndarray    # (H, W) uint8 ids: k + 1 on thing k, 0 elsewhere
+    categories: List[int]   # thing k's category
+    meta: Dict[str, str] = field(default_factory=dict)  # scene.meta's other lines
 
     @property
     def height(self) -> int:
@@ -186,8 +188,8 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     if cfg.twin_mode:
         requested = max(requested, 2)
 
-    occupied = np.zeros((h, w), dtype=bool)
-    instances: List[Tuple[np.ndarray, int]] = []
+    instance = np.zeros((h, w), dtype=np.uint8)
+    categories: List[int] = []
     first_center: Optional[Tuple[int, int]] = None
     for k in range(requested):
         retries, min_dist_from = _PLACEMENT_RETRIES, None
@@ -201,16 +203,16 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         else:
             template = _draw_template(cfg, rng)
         kind, dims, category, color = template
-        spot = _place(cfg, rng, kind, dims, occupied, retries, min_dist_from)
+        spot = _place(cfg, rng, kind, dims, instance != 0, retries, min_dist_from)
         if spot is None:
             continue
         cx, cy, mask = spot
         if k == 0:
             first_center = (cx, cy)
-        occupied[mask] = True
+        categories.append(category)
+        instance[mask] = len(categories)
         semantic[mask] = category
         image[mask] = color
-        instances.append((mask, category))
 
     meta = {
         "seed": str(cfg.seed),
@@ -219,10 +221,10 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         "stuff_bands": str(cfg.stuff_bands),
         "twin_mode": "1" if cfg.twin_mode else "0",
         "requested_things": str(requested),
-        "placed_things": str(len(instances)),
-        "categories": ",".join(str(c) for _, c in instances),
+        "placed_things": str(len(categories)),
     }
-    return SyntheticScene(image=image, semantic=semantic, instances=instances, meta=meta)
+    return SyntheticScene(image=image, semantic=semantic, instance=instance,
+                          categories=categories, meta=meta)
 
 
 # -- netpbm I/O ------------------------------------------------------------
@@ -250,7 +252,10 @@ def _next_token(data: bytes, pos: int, path) -> Tuple[bytes, int]:
 
 def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read ({exc.strerror})") from None
     if data[:2] != magic:
         raise DataFormatError(
             f"{path}: expected {magic.decode()} magic at byte 0, found {data[:2]!r}"
@@ -327,29 +332,20 @@ def scene_dir(root, seed: int) -> Path:
     return Path(root) / "scenes" / str(seed)
 
 
-def instance_plane(scene: SyntheticScene) -> np.ndarray:
-    """The (H, W) instance ids: k + 1 on thing k's pixels, 0 elsewhere."""
-    ids = np.zeros((scene.height, scene.width), dtype=np.int64)
-    for k, (mask, _) in enumerate(scene.instances):
-        ids[mask] = k + 1
-    return ids
-
-
 def save_scene(scene: SyntheticScene, directory) -> None:
-    """Write the scene's four files; ValueError, before any write, for
-    things that one instance plane cannot hold."""
+    """Write the scene's four files; ValueError, before any write, for an
+    instance plane that load_scene would refuse."""
     directory = Path(directory)
-    ids = instance_plane(scene)
-    if (len(scene.instances) > MAX_THINGS
-            or np.count_nonzero(ids) < sum(np.count_nonzero(m) for m, _ in scene.instances)):
+    things = len(scene.categories)
+    if things > MAX_THINGS or scene.instance.max(initial=0) > things:
         raise ValueError(f"{directory}: one instance plane holds at most {MAX_THINGS} "
-                         f"things whose masks do not overlap")
+                         f"things, with no id above the {things} categories listed")
     directory.mkdir(parents=True, exist_ok=True)
     save_ppm(directory / "image.ppm", to_uint8(scene.image))
     save_pgm(directory / "semantic.pgm", scene.semantic.astype(np.uint8))
-    save_pgm(directory / "instance.pgm", ids)
-    write_keyvalue(directory / "scene.meta",
-                   [(key, scene.meta.get(key, "")) for key in _META_ORDER])
+    save_pgm(directory / "instance.pgm", scene.instance)
+    lines = {**scene.meta, "categories": ",".join(str(c) for c in scene.categories)}
+    write_keyvalue(directory / "scene.meta", [(key, lines.get(key, "")) for key in _META_ORDER])
 
 
 def parse_keyvalue(text: str, source: str = "<string>") -> Dict[str, str]:
@@ -420,7 +416,7 @@ def load_scene(directory) -> SyntheticScene:
         raise DataFormatError(f"{meta_path}: not UTF-8 at byte {exc.start}") from None
     meta = parse_keyvalue(text, str(meta_path))
     categories = []
-    for raw in meta.get("categories", "").split(","):
+    for raw in meta.pop("categories", "").split(","):
         if raw == "":
             continue
         try:
@@ -445,12 +441,12 @@ def load_scene(directory) -> SyntheticScene:
             f"0..{n_classes - 1}"
         )
     ids_path = directory / "instance.pgm"
-    ids = _load_plane(ids_path, shape)
-    if ids.max(initial=0) > len(categories):
-        raise DataFormatError(f"{ids_path}: instance id {ids.max()} is above the "
+    instance = _load_plane(ids_path, shape)
+    if instance.max(initial=0) > len(categories):
+        raise DataFormatError(f"{ids_path}: instance id {instance.max()} is above the "
                               f"{len(categories)} things that {meta_path} lists")
-    instances = [(ids == k + 1, category) for k, category in enumerate(categories)]
-    return SyntheticScene(image=image, semantic=semantic, instances=instances, meta=meta)
+    return SyntheticScene(image=image, semantic=semantic, instance=instance,
+                          categories=categories, meta=meta)
 
 
 # -- the dataset on disk -----------------------------------------------------

@@ -36,7 +36,7 @@ from .model import (
 )
 from .postprocess import PanopticSegmentation, fuse_panoptic, matrix_nms, overlap_counts
 from .rng import SplitMix64
-from .synth import SyntheticScene, instance_plane
+from .synth import SyntheticScene
 
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
@@ -86,14 +86,16 @@ def flip_scene(scene: SyntheticScene, horizontal: bool, vertical: bool) -> Synth
     return SyntheticScene(
         image=scene.image[sel_y, sel_x].copy(),
         semantic=scene.semantic[sel_y, sel_x].copy(),
-        instances=[(m[sel_y, sel_x].copy(), c) for m, c in scene.instances],
+        instance=scene.instance[sel_y, sel_x].copy(),
+        categories=list(scene.categories),
         meta=dict(scene.meta),
     )
 
 
 def scene_to_panoptic(scene: SyntheticScene) -> PanopticSegmentation:
     """Ground-truth labeling: the scene's semantic and instance planes."""
-    return PanopticSegmentation(category=scene.semantic.copy(), instance=instance_plane(scene))
+    return PanopticSegmentation(category=scene.semantic.copy(),
+                                instance=scene.instance.astype(np.int64))
 
 
 def train_step(
@@ -225,7 +227,7 @@ def score_scenes(
         fused, pred = infer(scene)
         acc.add(fused, scene_to_panoptic(scene))
         if is_twin_scene(scene):
-            covered.append(_twins_covered(pred, scene))
+            covered.append(twins_covered(pred, scene))
     rate = sum(covered) / len(covered) if covered else float("nan")
     return acc.result(), rate
 
@@ -251,25 +253,18 @@ def is_twin_scene(scene: SyntheticScene) -> bool:
     same category, and masks equal up to translation.  When the second
     twin finds no room, generation goes on placing other things, so a
     twin-mode scene can lack the pair."""
-    if scene.meta.get("twin_mode") != "1" or len(scene.instances) < 2:
+    if scene.meta.get("twin_mode") != "1" or len(scene.categories) < 2:
         return False
-    (mask_a, category_a), (mask_b, category_b) = scene.instances[:2]
-    return category_a == category_b and np.array_equal(_cropped(mask_a), _cropped(mask_b))
+    return (scene.categories[0] == scene.categories[1]
+            and np.array_equal(_cropped(scene.instance == 1), _cropped(scene.instance == 2)))
 
 
 def twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
-    """True when every ground-truth twin mask is covered by some kept
-    prediction (score above ``post_nms_score``) at IoU > 0.5, regardless
-    of the predicted class."""
-    if not is_twin_scene(scene):
-        raise ValueError("scene has no twin pair")
-    return _twins_covered(pred, scene)
-
-
-def _twins_covered(pred: InstancePrediction, scene: SyntheticScene) -> bool:
-    """``twins_covered`` for a scene already known to be a twin scene."""
+    """True when both twins of a scene that ``is_twin_scene`` accepts,
+    instance ids 1 and 2, are covered by some kept prediction (score above
+    ``post_nms_score``) at IoU > 0.5, regardless of the predicted class."""
     kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
-    twins = np.stack([mask for mask, _ in scene.instances[:2]])
+    twins = scene.instance == np.array([1, 2])[:, None, None]
     inter = overlap_counts(twins, kept)  # (2, n_kept)
     union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
     # IoU > 0.5 without dividing: an empty union has inter 0 and fails

@@ -37,9 +37,8 @@ package's results must equal these bit for bit.
 of the packed keys; `corrseg.metrics` counts dense keys instead, and
 must return the same arrays.
 
-`paint_instances` paints a scene's things into an id plane one by one,
-as `corrseg.train.scene_to_panoptic` did before `corrseg.synth` gained
-`instance_plane`.
+`paint_instances` paints a list of masks into an instance-id plane one
+mask at a time; the tests build hand-made scenes' planes through it.
 
 `compute_pq` is no oracle: it is the one-pair shorthand for
 `corrseg.metrics.PqAccumulator` that the metric tests call.
@@ -260,20 +259,20 @@ def matrix_nms_float64(pred):
 
 
 def twins_covered_broadcast(pred, scene):
-    """`corrseg.train._twins_covered` with its overlaps from a (2, n, H, W)
+    """`corrseg.train.twins_covered` with its overlaps from a (2, n, H, W)
     bool broadcast."""
     kept = pred.masks[pred.scores > ModelConfig.post_nms_score]
-    twins = np.stack([mask for mask, _ in scene.instances[:2]])
+    twins = np.stack([scene.instance == 1, scene.instance == 2])
     inter = (twins[:, None] & kept[None]).sum(axis=(2, 3))
     union = twins.sum(axis=(1, 2))[:, None] + kept.sum(axis=(1, 2)) - inter
     return bool((2 * inter > union).any(axis=1).all())
 
 
-def paint_instances(scene):
-    """The instance ids of `corrseg.train.scene_to_panoptic` painted one thing
-    at a time: k + 1 on thing k, 0 elsewhere."""
-    instance = np.zeros((scene.height, scene.width), dtype=np.int64)
-    for k, (mask, _) in enumerate(scene.instances):
+def paint_instances(masks, shape):
+    """The (H, W) uint8 id plane of `corrseg.synth.SyntheticScene.instance`
+    painted one (H, W) bool mask at a time: k + 1 on mask k, 0 elsewhere."""
+    instance = np.zeros(shape, dtype=np.uint8)
+    for k, mask in enumerate(masks):
         instance[mask] = k + 1
     return instance
 

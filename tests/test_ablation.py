@@ -179,8 +179,8 @@ class TestTwinDataset:
         scenes = make_twin_dataset(6, seed=50)
         for scene in scenes:
             assert scene.meta["twin_mode"] == "1"
-            assert len(scene.instances) >= 2
-            assert scene.instances[0][1] == scene.instances[1][1]
+            assert len(scene.categories) >= 2
+            assert scene.categories[0] == scene.categories[1]
 
     def test_skips_scenes_whose_second_twin_found_no_room(self):
         # Seed 2 places twin A and then a different thing, not twin B.

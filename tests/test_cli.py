@@ -5,6 +5,7 @@ Most tests drive cli.main() in process for speed; a couple go through
 """
 
 import ctypes
+import errno
 import os
 import re
 import shlex
@@ -716,7 +717,7 @@ class TestEval:
         data = tmp_path / "data"
         assert main(["gen", "--config", str(cfg), "--out", str(data),
                      "--count", "1", "--seed", str(seed)]) == 0
-        assert load_scene(scene_dir(data, seed)).meta["categories"] == categories
+        assert ",".join(map(str, load_scene(scene_dir(data, seed)).categories)) == categories
         out = tmp_path / "ev"
         assert main(["eval", "--config", str(cfg), "--data", str(data),
                      "--oracle", "--out", str(out)]) == 0
@@ -831,7 +832,13 @@ def _pre_instance_plane_layout(data):
     (directory / "instance.pgm").unlink()
     for k in range(int(ids.max())):
         save_pgm(directory / f"inst_{k}.pgm", (ids == k + 1).astype(np.uint8) * 255)
-    return f"[Errno 2] No such file or directory: '{directory / 'instance.pgm'}'"
+    return f"{directory / 'instance.pgm'}: cannot read ({os.strerror(errno.ENOENT)})"
+
+
+def _remove_image(data):
+    image = scene_dir(data, 8) / "image.ppm"
+    image.unlink()
+    return f"{image}: cannot read ({os.strerror(errno.ENOENT)})"
 
 
 def _zero_height(data):
@@ -868,7 +875,8 @@ class TestDatasetManifest:
     @pytest.mark.parametrize("edit", [_duplicate_scene, _unlisted_scene, _remove_scene,
                                       _remove_manifest, _malform_manifest, _drop_first_seed,
                                       _drop_height, _zero_height, _non_ascii_integers,
-                                      _non_ascii_categories, _pre_instance_plane_layout])
+                                      _non_ascii_categories, _pre_instance_plane_layout,
+                                      _remove_image])
     def test_scenes_differing_from_manifest_exit_3(self, tmp_path, dataset, small_cfg,
                                                     capsys, command, edit):
         data = tmp_path / "data"

@@ -210,8 +210,7 @@ class TestTargets:
         assigned = losses.assign_instances_to_cells(scene, 1)
         assert len(assigned) == 1
         assert assigned[0][0] == 0
-        first_mask, first_cat = scene.instances[0]
-        assert assigned[0][1] == first_cat
+        assert assigned[0][1] == scene.categories[0]
 
 
 class TestTotalLoss:
@@ -243,7 +242,7 @@ class TestTotalLoss:
 
     def test_empty_instances_zero_mask_gradient(self):
         scene = make_scene(seed=4, min_things=0, max_things=0)
-        assert not scene.instances
+        assert not scene.categories
         cfg = self.cfg()
         model = PanopticModel(cfg, SplitMix64(3))
         out = model.forward(Tensor(scene.image))

@@ -1,3 +1,5 @@
+import errno
+import os
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from corrseg import synth
 from corrseg.errors import ConfigError, DataFormatError
+from oracles import paint_instances
 
 
 def make_cfg(**kw):
@@ -24,18 +27,25 @@ def one_pixel(k, side=16):
     return mask
 
 
-def things_scene(instances, side=16):
-    """A hand-built scene of the given (mask, category) things on one stuff band."""
+def things_scene(masks, categories, side=16):
+    """A hand-built scene on one stuff band: thing k is masks[k], painted
+    as id k + 1, and categories lists the things' categories."""
     return synth.SyntheticScene(
         image=np.zeros((side, side, 3)),
         semantic=np.full((side, side), synth.FIRST_STUFF_ID, dtype=np.int64),
-        instances=instances, meta={"categories": ",".join(str(c) for _, c in instances)})
+        instance=paint_instances(masks, (side, side)), categories=categories)
+
+
+def thing_masks(scene):
+    """Thing k's (H, W) bool mask, for each thing of the scene."""
+    return [scene.instance == k + 1 for k in range(len(scene.categories))]
 
 
 class TestGeneration:
     def test_no_things_leaves_band_pattern(self):
         scene = synth.generate_scene(make_cfg(min_things=0, max_things=0, seed=3))
-        assert scene.instances == []
+        assert scene.categories == []
+        assert not scene.instance.any()
         assert set(np.unique(scene.semantic)) <= {3, 4, 5}
         # bands are horizontal: rows are constant
         assert all(len(np.unique(row)) == 1 for row in scene.semantic)
@@ -45,10 +55,8 @@ class TestGeneration:
         b = synth.generate_scene(make_cfg(seed=11, twin_mode=True))
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.semantic, b.semantic)
-        assert len(a.instances) == len(b.instances)
-        for (ma, ca), (mb, cb) in zip(a.instances, b.instances):
-            np.testing.assert_array_equal(ma, mb)
-            assert ca == cb
+        np.testing.assert_array_equal(a.instance, b.instance)
+        assert a.categories == b.categories
 
     def test_different_seed_differs(self):
         a = synth.generate_scene(make_cfg(seed=1))
@@ -56,16 +64,16 @@ class TestGeneration:
         assert not np.array_equal(a.image, b.image)
 
     def test_masks_disjoint(self):
+        """One plane cannot hold overlapping things; every placed thing
+        keeps pixels under its own id, and no other id appears."""
         scene = synth.generate_scene(make_cfg(min_things=4, max_things=6, seed=21))
-        total = np.zeros_like(scene.semantic)
-        for mask, _ in scene.instances:
-            total += mask.astype(int)
-        assert total.max() <= 1
+        assert scene.instance.dtype == np.uint8
+        assert np.unique(scene.instance).tolist() == list(range(len(scene.categories) + 1))
 
     def test_semantic_consistent_with_instances(self):
         scene = synth.generate_scene(make_cfg(min_things=3, max_things=5, seed=22))
-        assert len(scene.instances) >= 1
-        for mask, category in scene.instances:
+        assert len(scene.categories) >= 1
+        for mask, category in zip(thing_masks(scene), scene.categories):
             assert np.all(scene.semantic[mask] == category)
 
     def test_image_range_and_dtype(self):
@@ -74,17 +82,16 @@ class TestGeneration:
 
     def test_meta_records_counts(self):
         scene = synth.generate_scene(make_cfg(min_things=2, max_things=3, seed=24))
-        assert int(scene.meta["placed_things"]) == len(scene.instances)
+        assert int(scene.meta["placed_things"]) == len(scene.categories)
         assert int(scene.meta["requested_things"]) >= int(scene.meta["placed_things"])
-        cats = [int(c) for c in scene.meta["categories"].split(",") if c]
-        assert cats == [c for _, c in scene.instances]
+        assert "categories" not in scene.meta
 
     @pytest.mark.parametrize("seed", range(8))
     def test_twin_mode_identical_appearance_distant_centroids(self, seed):
         scene = synth.generate_scene(make_cfg(twin_mode=True, seed=seed))
-        assert len(scene.instances) >= 2
-        (mask_a, cat_a), (mask_b, cat_b) = scene.instances[:2]
-        assert cat_a == cat_b
+        assert len(scene.categories) >= 2
+        mask_a, mask_b = thing_masks(scene)[:2]
+        assert scene.categories[0] == scene.categories[1]
         assert mask_a.sum() == mask_b.sum()
         colors_a = scene.image[mask_a]
         colors_b = scene.image[mask_b]
@@ -170,10 +177,10 @@ class TestScenePersistence:
         synth.save_scene(scene, directory)
         loaded = synth.load_scene(directory)
         np.testing.assert_array_equal(loaded.semantic, scene.semantic)
-        assert len(loaded.instances) == len(scene.instances)
-        for (ma, ca), (mb, cb) in zip(loaded.instances, scene.instances):
-            np.testing.assert_array_equal(ma, mb)
-            assert ca == cb
+        assert loaded.instance.dtype == np.uint8
+        np.testing.assert_array_equal(loaded.instance, scene.instance)
+        assert loaded.categories == scene.categories
+        assert loaded.meta == scene.meta
         assert np.abs(loaded.image - scene.image).max() <= 1.0 / 255.0 + 1e-12
 
     def test_every_instance_id_fits_a_pgm_byte(self):
@@ -181,23 +188,21 @@ class TestScenePersistence:
 
     def test_most_things_round_trip_exactly(self, tmp_path):
         """MAX_THINGS one-pixel things, ids 1..MAX_THINGS, read back as written."""
-        instances = [(one_pixel(3 * k), k % synth.THING_CLASSES)
-                     for k in range(synth.MAX_THINGS)]
-        scene = things_scene(instances)
-        synth.save_scene(scene, tmp_path / "s")
+        masks = [one_pixel(3 * k) for k in range(synth.MAX_THINGS)]
+        categories = [k % synth.THING_CLASSES for k in range(synth.MAX_THINGS)]
+        synth.save_scene(things_scene(masks, categories), tmp_path / "s")
         assert synth.load_pgm(tmp_path / "s" / "instance.pgm").max() == synth.MAX_THINGS
         loaded = synth.load_scene(tmp_path / "s")
-        assert len(loaded.instances) == synth.MAX_THINGS
-        for (got_mask, got_cat), (want_mask, want_cat) in zip(loaded.instances, instances):
-            np.testing.assert_array_equal(got_mask, want_mask)
-            assert got_cat == want_cat
+        assert loaded.categories == categories
+        for got, want in zip(thing_masks(loaded), masks, strict=True):
+            np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("masks", [
-        [one_pixel(0) | one_pixel(1), one_pixel(1)],
-        [one_pixel(k) for k in range(synth.MAX_THINGS + 1)],
-    ], ids=["overlapping", "too_many"])
-    def test_things_no_plane_holds_refused_before_writing(self, tmp_path, masks):
-        scene = things_scene([(mask, 0) for mask in masks])
+    @pytest.mark.parametrize("masks, things", [
+        ([one_pixel(0), one_pixel(1)], 1),
+        ([one_pixel(k) for k in range(synth.MAX_THINGS + 1)], synth.MAX_THINGS + 1),
+    ], ids=["id_above_categories", "too_many"])
+    def test_things_no_plane_holds_refused_before_writing(self, tmp_path, masks, things):
+        scene = things_scene(masks, [0] * things)
         with pytest.raises(ValueError, match="instance plane holds at most"):
             synth.save_scene(scene, tmp_path / "s")
         assert not (tmp_path / "s").exists()
@@ -212,6 +217,19 @@ class TestScenePersistence:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="manifest missing"):
             synth.load_scene(tmp_path)
+
+    @pytest.mark.parametrize("name, reason", [
+        ("scene.meta", "manifest missing"),
+        ("image.ppm", f"cannot read ({os.strerror(errno.ENOENT)})"),
+        ("semantic.pgm", f"cannot read ({os.strerror(errno.ENOENT)})"),
+        ("instance.pgm", f"cannot read ({os.strerror(errno.ENOENT)})"),
+    ])
+    def test_missing_file_raises_data_format_error(self, tmp_path, name, reason):
+        directory = self.saved(tmp_path)
+        (directory / name).unlink()
+        with pytest.raises(DataFormatError) as info:
+            synth.load_scene(directory)
+        assert str(info.value) == f"{directory / name}: {reason}"
 
     def saved(self, tmp_path):
         scene = synth.generate_scene(make_cfg(twin_mode=True, seed=33))
@@ -234,7 +252,7 @@ class TestScenePersistence:
         path = directory / "instance.pgm"
         ids = synth.load_pgm(path)
         n = int(ids.max())
-        assert n == len(synth.load_scene(directory).instances)
+        assert n == len(synth.load_scene(directory).categories)
         ids[0, 0] = n + 1
         synth.save_pgm(path, ids)
         with pytest.raises(DataFormatError, match=f"{path}: instance id {n + 1} is above"):
@@ -275,7 +293,8 @@ class TestScenePersistence:
             except DataFormatError:
                 return
             assert scene.semantic.shape == scene.image.shape[:2]
-            assert all(0 <= c < synth.THING_CLASSES for _, c in scene.instances)
+            assert all(0 <= c < synth.THING_CLASSES for c in scene.categories)
+            assert scene.instance.max(initial=0) <= len(scene.categories)
 
     def test_repeated_manifest_key_rejected(self, tmp_path):
         directory = self.saved(tmp_path)
@@ -309,11 +328,8 @@ class TestDataset:
                 np.testing.assert_array_equal(synth.to_uint8(got.image),
                                               synth.to_uint8(want.image))
                 np.testing.assert_array_equal(got.semantic, want.semantic)
-                assert len(got.instances) == len(want.instances)
-                for (got_mask, got_cat), (want_mask, want_cat) in zip(got.instances,
-                                                                      want.instances):
-                    np.testing.assert_array_equal(got_mask, want_mask)
-                    assert got_cat == want_cat
+                np.testing.assert_array_equal(got.instance, want.instance)
+                assert got.categories == want.categories
                 assert got.meta == want.meta
 
     @pytest.mark.parametrize("key, value", [("first_seed", "4_0"), ("count", "\u0662"),

@@ -46,8 +46,9 @@ class TestGroundTruthConversion:
         scene = smoke_scenes(1, seed=5)[0]
         gt = scene_to_panoptic(scene)
         assert gt.category.shape == (32, 32)
-        for k, (mask, category) in enumerate(scene.instances):
-            assert np.all(gt.instance[mask] == k + 1)
+        for k, category in enumerate(scene.categories):
+            mask = gt.instance == k + 1
+            assert mask.any()
             assert np.all(gt.category[mask] == category)
         background = gt.instance == 0
         assert np.all(gt.category[background] >= 3)
@@ -57,7 +58,9 @@ class TestGroundTruthConversion:
         for scene in smoke_scenes(8, seed=40, twin=twin) + [generate_scene(SceneConfig(
                 height=48, width=40, min_things=0, max_things=8, seed=41, twin_mode=twin))]:
             gt = scene_to_panoptic(scene)
-            np.testing.assert_array_equal(gt.instance, paint_instances(scene))
+            masks = [scene.instance == k + 1 for k in range(len(scene.categories))]
+            np.testing.assert_array_equal(gt.instance,
+                                          paint_instances(masks, scene.instance.shape))
             assert gt.instance.dtype == np.int64
             np.testing.assert_array_equal(gt.category, scene.semantic)
 
@@ -236,22 +239,20 @@ class TestInference:
 def truth_prediction(scene, keep=None, score=0.9, shift=0):
     """The first ``keep`` ground-truth instances as a prediction, with
     categories shifted by ``shift`` (mod 3) and one shared score."""
-    instances = scene.instances[:keep]
-    masks = np.zeros((len(instances), scene.height, scene.width), dtype=bool)
-    for k, (mask, _) in enumerate(instances):
-        masks[k] = mask
+    categories = scene.categories[:keep]
     return InstancePrediction(
-        masks=masks,
-        categories=np.array([(c + shift) % 3 for _, c in instances], dtype=np.int64),
-        scores=np.full(len(instances), score),
+        masks=scene.instance == np.arange(1, len(categories) + 1)[:, None, None],
+        categories=np.array([(c + shift) % 3 for c in categories], dtype=np.int64),
+        scores=np.full(len(categories), score),
     )
 
 
 def twin_pair_scene(twins):
-    """A scene holding only the two given masks, as one category's twins."""
+    """A scene holding only the two given disjoint masks, as one category's
+    twins."""
     h, w = twins[0].shape
     return SyntheticScene(image=np.zeros((h, w, 3)), semantic=np.zeros((h, w), dtype=np.int64),
-                          instances=[(twins[0], 0), (twins[1], 0)])
+                          instance=paint_instances(twins, (h, w)), categories=[0, 0])
 
 
 class TestTwinOverlapCounts:
@@ -261,6 +262,7 @@ class TestTwinOverlapCounts:
         for trial in range(60):
             h, w = (int(v) for v in rng.integers(1, 30, size=2))
             twins = rng.random((2, h, w)) < 0.5
+            twins[1] &= ~twins[0]  # one plane holds the twins, so they are disjoint
             n = int(rng.integers(0, 6))
             # Each prediction is a twin with a share of its pixels flipped,
             # so IoUs fall on both sides of 1/2.
@@ -270,17 +272,21 @@ class TestTwinOverlapCounts:
                                       scores=rng.random(n))
             scene = twin_pair_scene(twins)
             want = twins_covered_broadcast(pred, scene)
-            assert train_mod._twins_covered(pred, scene) == want, trial
+            assert twins_covered(pred, scene) == want, trial
             outcomes.add(want)
         assert outcomes == {True, False}
 
     def test_all_true_masks_of_the_largest_scene(self):
-        twins = np.ones((2, MAX_SIDE, MAX_SIDE), dtype=bool)
-        pred = InstancePrediction(masks=twins.copy(), categories=np.zeros(2, dtype=np.int64),
-                                  scores=np.full(2, 0.9))
+        """Twins filling the top and bottom halves of the largest scene, and a
+        prediction of each twin plus an all-true mask."""
+        twins = np.zeros((2, MAX_SIDE, MAX_SIDE), dtype=bool)
+        twins[0, :MAX_SIDE // 2] = twins[1, MAX_SIDE // 2:] = True
+        masks = np.concatenate([twins, np.ones((1, MAX_SIDE, MAX_SIDE), dtype=bool)])
+        pred = InstancePrediction(masks=masks, categories=np.zeros(3, dtype=np.int64),
+                                  scores=np.full(3, 0.9))
         scene = twin_pair_scene(twins)
         assert twins_covered_broadcast(pred, scene)
-        assert train_mod._twins_covered(pred, scene) is True
+        assert twins_covered(pred, scene) is True
 
 
 class TestTwinDetection:
@@ -305,7 +311,7 @@ class TestTwinDetection:
 
     def test_iou_must_exceed_half(self):
         scene = self.twin_scene()
-        ys, xs = np.nonzero(~(scene.instances[0][0] | scene.instances[1][0]))
+        ys, xs = np.nonzero(~np.isin(scene.instance, (1, 2)))
 
         def grown(extra):
             """Each twin plus extra(area) pixels from outside both twins."""
@@ -320,9 +326,7 @@ class TestTwinDetection:
 
     def test_non_twin_scene_rejected(self):
         scene = smoke_scenes(1)[0]
-        pred = truth_prediction(scene, keep=0)
-        with pytest.raises(ValueError):
-            twins_covered(pred, scene)
+        assert not is_twin_scene(scene)
 
     def test_flipped_twin_pair_is_still_a_pair(self):
         scene = self.twin_scene()
@@ -333,10 +337,8 @@ class TestTwinDetection:
         # The second twin found no room; a different thing of the same
         # category took its place as instance 1.
         scene = generate_scene(SceneConfig(height=32, width=32, twin_mode=True, seed=51))
-        assert scene.meta["categories"] == "0,0"
+        assert scene.categories == [0, 0]
         assert not is_twin_scene(scene)
-        with pytest.raises(ValueError):
-            twins_covered(truth_prediction(scene), scene)
 
     def test_untrained_rate_is_zero(self):
         model = smoke_model(seed=12)
